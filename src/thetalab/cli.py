@@ -45,8 +45,11 @@ def _round(x):
 def _emit(obj, out: str | None) -> None:
     text = json.dumps(_round(obj), sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PreconditionViolated(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -91,6 +94,8 @@ def cmd_construct(args) -> int:
         _, absolute = polarity_graph_with_loops(args.q)
         prov = {"family": "polarity", "q": args.q, "loops_removed": sorted(absolute)}
     else:
+        if args.n < 1 or args.t < 1:
+            raise PreconditionViolated(f"need --n >= 1 and --t >= 1, got --n {args.n} --t {args.t}")
         g = clique_union(args.n, args.t)
         prov = {"family": "cliques", "n": args.n, "t": args.t,
                 "parts": [len(p) for p in clique_union_parts(args.n, args.t)]}
@@ -206,6 +211,8 @@ def cmd_rep(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    if args.seed < 0:
+        raise PreconditionViolated(f"need --seed >= 0, got {args.seed}")
     names = []
     for name in args.experiment:
         if name == "all":
@@ -214,7 +221,7 @@ def cmd_verify_paper(args) -> int:
             names.append(name)
     seen = set()
     names = [nm for nm in names if not (nm in seen or seen.add(nm))]
-    reports = run_experiments(names, seed=args.seed, parallel=args.parallel)
+    reports = run_experiments(names, seed=args.seed)
     if args.json:
         payload = [r.to_json() for r in reports]
         _emit(payload[0] if len(payload) == 1 else payload, None)
@@ -298,7 +305,6 @@ def _parser() -> argparse.ArgumentParser:
                     help=f"one of: {', '.join(EXPERIMENT_NAMES)}, or all; repeatable")
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--json", action="store_true")
-    vp.add_argument("--parallel", action="store_true")
     vp.set_defaults(func=cmd_verify_paper)
 
     return p

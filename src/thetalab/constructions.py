@@ -16,6 +16,7 @@ import numpy as np
 from .errors import OrderUnavailable
 from .ffield import FieldElement, FieldSpec, element_of_order, field_from_order, subgroup
 from .graph import Graph, from_edges
+from .linalg import adjacency_dense
 
 
 @dataclass(frozen=True)
@@ -107,11 +108,9 @@ def furedi_square_identity(fg: FurediGraph) -> SquareIdentityReport:
     """
     g = fg.graph
     n = g.n
-    a = np.zeros((n, n), dtype=np.int64)
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = 1
-    for u in fg.loops_removed:
-        a[u, u] = 1
+    a = adjacency_dense(g).astype(np.int64)
+    loops = list(fg.loops_removed)
+    a[loops, loops] = 1
     a2 = a @ a
     off = ~np.eye(n, dtype=bool)
     quo = np.where(off & (a2 == 0), 1, 0).astype(np.int64)

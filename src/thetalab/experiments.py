@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .constructions import clique_union, clique_union_parts, furedi_graph, fured
 from .errors import PreconditionViolated
 from .graph import (
     Graph,
+    chromatic_number_exact,
     complement,
     complete_graph,
     contains_complete_bipartite,
@@ -27,9 +27,10 @@ from .graph import (
     cycle_graph,
     empty_graph,
     from_edges,
+    induced_subgraph,
     layer_chromatic_check,
 )
-from .linalg import adjacency_sym, eigen_sym, sym_from_dense
+from .linalg import adjacency_dense, adjacency_sym, eigen_sym, sym_from_dense
 from .ortho import (
     basis_rep_from_clique_cover,
     gram,
@@ -114,20 +115,15 @@ def _cycle_free_graph(n: int, k: int, rng) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     adj = [0] * n
-    kept = []
     for u, v in pairs:
-        if k == 3:
-            if adj[u] & adj[v]:
-                continue
-            kept.append((u, v))
-        else:
-            trial = from_edges(n, kept + [(u, v)])
-            if contains_cycle(trial, k):
-                continue
-            kept.append((u, v))
+        if k == 3 and adj[u] & adj[v]:  # a new triangle needs a common neighbor
+            continue
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    g = from_edges(n, kept)
+        if k != 3 and contains_cycle(Graph(n, tuple(adj)), k):
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+    g = Graph(n, tuple(adj))
     if contains_cycle(g, k):  # the generator's promise, re-verified
         raise PreconditionViolated("cycle-free generator produced a cycle")
     return g
@@ -176,13 +172,11 @@ def _run_furedi_spectral(seed: int):
                 "theta_spectral_lower_of_complement",
                 f"{tag}: 1 - lambda_1/lambda_n >= 2.236 on the loop-removed matrix",
                 ">= 2.236", low, 1e-9, low >= 2.236 - 1e-9))
-            a = np.zeros((g.n, g.n))
-            for u, v in g.edges():
-                a[u, v] = a[v, u] = 1.0
-            for u in fg.loops_removed:
-                a[u, u] = 1.0
-            vals, _ = np.linalg.eigh(a)
-            loopful = 1.0 - vals[-1] / vals[0]
+            a = adjacency_dense(g)
+            loops = list(fg.loops_removed)
+            a[loops, loops] = 1.0
+            vals = eigen_sym(sym_from_dense(a)).eigenvalues
+            loopful = 1.0 - vals[0] / vals[-1]
             checks.append(_chk(
                 "theta_spectral_lower_of_complement",
                 f"{tag}: loop-included matrix gives exactly 1 + sqrt(5)",
@@ -422,28 +416,7 @@ def _cycle_edge_masks(n: int, length: int):
     return sorted(masks)
 
 
-def _three_colorable(adj, verts) -> bool:
-    order = sorted(verts, key=lambda v: -bin(adj[v]).count("1"))
-    colors: dict[int, int] = {}
-
-    def rec(i):
-        if i == len(order):
-            return True
-        v = order[i]
-        used = {colors[u] for u in colors if adj[v] >> u & 1}
-        limit = min(3, (max(colors.values()) + 2) if colors else 1)
-        for c in range(limit):
-            if c not in used:
-                colors[v] = c
-                if rec(i + 1):
-                    return True
-                del colors[v]
-        return False
-
-    return rec(0)
-
-
-def _layers_three_colorable(n: int, adj, memo) -> bool:
+def _layers_3_colorable(n: int, adj, memo) -> bool:
     for root in range(n):
         seen = 1 << root
         layer = 1 << root
@@ -464,7 +437,7 @@ def _layers_three_colorable(n: int, adj, memo) -> bool:
                 key = tuple(adj[v] & layer for v in verts)
                 ok = memo.get(key)
                 if ok is None:
-                    ok = _three_colorable(adj, verts)
+                    ok = chromatic_number_exact(induced_subgraph(Graph(n, tuple(adj)), verts)) <= 3
                     memo[key] = ok
                 if not ok:
                     return False
@@ -492,7 +465,7 @@ def _run_layer_coloring(seed: int):
                 if gmask >> k & 1:
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
-            ok = _layers_three_colorable(n, adj, memo)
+            ok = _layers_3_colorable(n, adj, memo)
             violations += not ok
             if idx % 20000 == 0:  # spot-check the fast path against the library op
                 g = from_edges(n, [pos[k] for k in range(e) if gmask >> k & 1])
@@ -551,20 +524,11 @@ def run_experiment(name: str, seed: int = 0) -> ExperimentReport:
     return ExperimentReport(name, parameters, tuple(checks), runtime_ms, seed)
 
 
-def run_experiments(names, seed: int = 0, parallel: bool = False) -> list[ExperimentReport]:
-    """Run several experiments; results ordered by canonical experiment name.
-
-    With parallel=True independent runners execute concurrently; reports are
-    merged by experiment name, so the ordering is identical either way.
-    """
+def run_experiments(names, seed: int = 0) -> list[ExperimentReport]:
+    """Run several experiments; results ordered by canonical experiment name."""
     names = list(names)
     for name in names:
         if name not in _RUNNERS:
             known = ", ".join(EXPERIMENT_NAMES)
             raise PreconditionViolated(f"unknown experiment {name!r}; expected one of: {known}")
-    if parallel and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=min(len(names), 4)) as pool:
-            by_name = dict(zip(names, pool.map(lambda nm: run_experiment(nm, seed), names)))
-    else:
-        by_name = {nm: run_experiment(nm, seed) for nm in names}
-    return [by_name[nm] for nm in EXPERIMENT_NAMES if nm in by_name]
+    return [run_experiment(nm, seed) for nm in EXPERIMENT_NAMES if nm in names]

@@ -76,6 +76,23 @@ class Spectrum:
     eigenvectors: np.ndarray | None  # orthonormal columns, aligned with eigenvalues
     residual: float  # max_i ||A v_i - lambda_i v_i||
 
+    def power_sum(self, k: int) -> float:
+        """tr(M^k) = sum of lambda_i^k."""
+        if not 1 <= k <= 64:
+            raise ValueError("need 1 <= k <= 64")
+        return float(np.sum(self.eigenvalues**k))
+
+    def rank(self, tol: float | None = None) -> int:
+        """Count of eigenvalues with |lambda| above tol.
+
+        Default tol = n * max|lambda| * 2^-40, scaling with the O(n) rounding
+        accumulated in Gram matrices.
+        """
+        mags = np.abs(self.eigenvalues)
+        if tol is None:
+            tol = mags.size * float(np.max(mags)) * 2.0**-40
+        return int(np.sum(mags > tol))
+
 
 # ---------------------------------------------------------------------------
 # eigensolver
@@ -198,23 +215,12 @@ def eigen_sym(m: SymMatrix) -> Spectrum:
 
 def trace_power(m: SymMatrix, k: int) -> float:
     """tr(M^k) = sum of lambda_i^k, from the spectrum."""
-    if not 1 <= k <= 64:
-        raise ValueError("need 1 <= k <= 64")
-    spec = eigen_sym(m)
-    return float(np.sum(spec.eigenvalues**k))
+    return eigen_sym(m).power_sum(k)
 
 
 def numeric_rank(m: SymMatrix, tol: float | None = None) -> int:
-    """Count of eigenvalues with |lambda| above tol.
-
-    Default tol = n * max|lambda| * 2^-40, scaling with the O(n) rounding
-    accumulated in Gram matrices.
-    """
-    spec = eigen_sym(m)
-    if tol is None:
-        lam_max = float(np.max(np.abs(spec.eigenvalues))) if m.n else 0.0
-        tol = m.n * lam_max * 2.0**-40
-    return int(np.sum(np.abs(spec.eigenvalues) > tol))
+    """Count of eigenvalues with |lambda| above tol; see Spectrum.rank."""
+    return eigen_sym(m).rank(tol)
 
 
 def psd_project_dense(a: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedPattern,
 )
 from .graph import Graph, complement, contains_clique, contains_cycle, cycle_graph, graph_from_json, graph_to_json, parse_pattern
-from .linalg import SymMatrix, eigen_sym, numeric_rank, sym_from_dense, trace_power
+from .linalg import SymMatrix, adjacency_dense, eigen_sym, sym_from_dense, trace_power
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,17 +58,16 @@ def validate_rep(rep: OrthoRep, g: Graph, tol: float = 1e-8) -> RepValidation:
     v = rep.vectors
     gm = v.T @ v
     worst = float(np.max(np.abs(np.diag(gm) - 1.0))) if g.n else 0.0
-    for u in range(g.n):
-        for w in range(u + 1, g.n):
-            if not g.has_edge(u, w):
-                worst = max(worst, abs(float(gm[u, w])))
+    non_adjacent = np.triu(adjacency_dense(g) == 0.0, k=1)
+    if non_adjacent.any():
+        worst = max(worst, float(np.max(np.abs(gm[non_adjacent]))))
     return RepValidation(worst <= tol, worst)
 
 
 def gram(rep: OrthoRep) -> SymMatrix:
     """Gram matrix of the representation's vectors."""
     v = rep.vectors
-    return sym_from_dense((v.T @ v + v.T @ v) / 2.0, tol=1e-8)
+    return sym_from_dense(v.T @ v, tol=1e-8)
 
 
 def basis_rep_from_clique_cover(g: Graph, cover) -> OrthoRep:
@@ -205,8 +204,9 @@ def schnirelmann_check(m: SymMatrix) -> SchnirelmannReport:
     """tr(M)^2 <= rank(M) * tr(M^2), with slack reported."""
     tr = float(np.trace(m.dense()))
     lhs = tr * tr
-    rank = numeric_rank(m)
-    rhs = rank * trace_power(m, 2)
+    spec = eigen_sym(m)
+    rank = spec.rank()
+    rhs = rank * spec.power_sum(2)
     scale = max(1.0, abs(lhs), abs(rhs))
     return SchnirelmannReport(lhs <= rhs + 1e-6 * scale, rhs - lhs, lhs, rhs, rank)
 
@@ -303,11 +303,11 @@ def trace_power_certificate(rep: OrthoRep, g: Graph, t: int, parity: str) -> Tra
     check = validate_rep(rep, g)
     if not check.ok:
         raise PreconditionViolated(f"rep residual {check.max_residual} exceeds tolerance")
-    m = gram(rep)
-    tv = trace_power(m, power)
+    spec = eigen_sym(gram(rep))
+    tv = spec.power_sum(power)
     scale = max(1.0, bound)
     trace_ok = tv <= bound + 1e-8 * scale
-    lam_top = float(eigen_sym(m).eigenvalues[0])
+    lam_top = float(spec.eigenvalues[0])
     lam_bound = bound ** (1.0 / power)
     lam_ok = lam_top <= lam_bound + 1e-8 * max(1.0, lam_bound)
     return TracePowerReport(trace_ok and lam_ok, parity, t, power, tv, bound, trace_ok, lam_top, lam_bound, lam_ok)

@@ -30,7 +30,7 @@ from .errors import (
     RepInvalid,
 )
 from .graph import Graph, complement, contains_cycle
-from .linalg import SymMatrix, adjacency_sym, eigen_sym, eigh_dense, sym_from_dense
+from .linalg import SymMatrix, adjacency_dense, adjacency_sym, eigen_sym, eigh_dense, psd_project_dense, sym_from_dense
 from .ortho import OrthoRep, validate_rep
 
 DEFAULT_ITERATION_CAP = 50_000
@@ -43,7 +43,10 @@ def solver_cap() -> int:
     raw = os.environ.get("LAB_MAX_N")
     if raw is None:
         return DEFAULT_SOLVER_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise PreconditionViolated(f"LAB_MAX_N must be an integer, got {raw!r}") from None
     if cap < 1:
         raise PreconditionViolated(f"LAB_MAX_N must be positive, got {raw!r}")
     return cap
@@ -62,21 +65,19 @@ class ThetaResult:
     graph: Graph
 
     def __post_init__(self):
-        g = self.graph
-        n = g.n
         x = self.primal_x.dense()
         if abs(float(np.trace(x)) - 1.0) > 1e-8:
             raise PreconditionViolated("primal certificate trace differs from 1")
         b = self.dual_b.dense()
-        worst_pattern = 0.0
-        for u in range(n):
-            if b[u, u] != 1.0:
+        edge = np.triu(adjacency_dense(self.graph) != 0.0, k=1)
+        # the first wrong entry of b in row-major upper-triangle order names the error
+        wrong = np.argwhere(np.triu(b != 1.0) & ~edge)
+        if wrong.size:
+            u, v = wrong[0]
+            if u == v:
                 raise PreconditionViolated("dual certificate diagonal not exactly 1")
-            for v in range(u + 1, n):
-                if g.has_edge(u, v):
-                    worst_pattern = max(worst_pattern, abs(float(x[u, v])))
-                elif b[u, v] != 1.0:
-                    raise PreconditionViolated("dual certificate non-edge entry not exactly 1")
+            raise PreconditionViolated("dual certificate non-edge entry not exactly 1")
+        worst_pattern = float(np.max(np.abs(x[edge]))) if edge.any() else 0.0
         if worst_pattern > 1e-8:
             raise PreconditionViolated(f"primal certificate edge residual {worst_pattern}")
         vals, _ = eigh_dense(x)
@@ -89,15 +90,6 @@ class ThetaResult:
             raise PreconditionViolated("upper bound does not match dual certificate")
         if self.gap < -1e-9 or abs(self.gap - (self.upper - self.lower)) > 1e-12:
             raise PreconditionViolated("gap field inconsistent with bounds")
-
-
-def _edge_indices(g: Graph):
-    rows = []
-    cols = []
-    for u, v in g.edges():
-        rows.extend((u, v))
-        cols.extend((v, u))
-    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
 
 
 def theta_sdp(g: Graph, tol: float = 1e-6, iteration_cap: int = DEFAULT_ITERATION_CAP) -> ThetaResult:
@@ -117,7 +109,7 @@ def theta_sdp(g: Graph, tol: float = 1e-6, iteration_cap: int = DEFAULT_ITERATIO
     if tol < 1e-8:
         raise PreconditionViolated(f"tol must be >= 1e-8, got {tol}")
 
-    rows, cols = _edge_indices(g)
+    rows, cols = np.nonzero(adjacency_dense(g))
     has_edges = rows.size > 0
     eye = np.eye(n)
     ones = np.ones((n, n))
@@ -164,9 +156,7 @@ def theta_sdp(g: Graph, tol: float = 1e-6, iteration_cap: int = DEFAULT_ITERATIO
         iterations += 1
         # (a) primal: objective tilt, then one cyclic-projection sweep
         x = affine_project(y - (corr - ones) / rho)
-        m = x + corr / rho
-        vals, vecs = eigh_dense(m)
-        y = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+        y = psd_project_dense(x + corr / rho)
         corr = corr + rho * (x - y)
 
         if iterations % _CERT_EVERY and iterations > 10:

@@ -162,7 +162,7 @@ def test_verify_output_deterministic(capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_verify_multiple_and_parallel(capsys):
+def test_verify_multiple_canonical_order(capsys):
     argv = ["verify", "paper", "--experiment", "theta-sandwich",
             "--experiment", "polarity-c4", "--json"]
     code, out, _ = run(capsys, argv)
@@ -170,10 +170,31 @@ def test_verify_multiple_and_parallel(capsys):
     objs = json.loads(out)
     # canonical order, regardless of the order flags were given in
     assert [o["experiment"] for o in objs] == ["polarity-c4", "theta-sandwich"]
-    codep, outp, _ = run(capsys, argv + ["--parallel"])
-    plain = [dict(o, runtime_ms=0) for o in objs]
-    par = [dict(o, runtime_ms=0) for o in json.loads(outp)]
-    assert codep == 0 and par == plain
+
+
+def test_verify_parallel_flag_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "paper", "--experiment", "polarity-c4", "--parallel"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["construct", "cliques", "--n", "0", "--t", "1"], "--n >= 1"),
+    (["construct", "cliques", "--n", "4", "--t", "-2"], "--t >= 1"),
+    (["verify", "paper", "--experiment", "schnirelmann", "--seed", "-1"], "--seed >= 0"),
+])
+def test_bad_parameters_exit_two(capsys, argv, needle):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and needle in err
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "f.json"
+    code, _, err = run(capsys, ["construct", "cliques", "--n", "4", "--t", "2", "--out", str(target)])
+    assert code == 2
+    assert f"cannot write {target}" in err
+    assert not target.exists()
 
 
 def test_verify_known_failing_experiment_exits_one(capsys):

@@ -1,0 +1,235 @@
+"""Library validation and certificates against plain reference versions.
+
+The references are O(n^2) Python loops for the pattern checks, one
+eigendecomposition per derived quantity for the trace certificates, and a
+full rebuild per candidate edge for the cycle-free generator.  Both sides
+perform the same floating-point operations, so every comparison is exact
+equality, not a tolerance.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thetalab.errors import PreconditionViolated
+from thetalab.experiments import _cycle_free_graph
+from thetalab.graph import contains_cycle, from_edges
+from thetalab.linalg import eigen_sym, eigh_dense, sym_from_dense
+from thetalab.ortho import (
+    OrthoRep,
+    RepValidation,
+    gram,
+    random_rep,
+    schnirelmann_check,
+    trace_power_certificate,
+    validate_rep,
+)
+from thetalab.theta import ThetaResult
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+# ---------------------------------------------------------------------------
+# references
+# ---------------------------------------------------------------------------
+
+
+def validate_rep_loop(rep, g, tol=1e-8):
+    v = rep.vectors
+    gm = v.T @ v
+    worst = float(np.max(np.abs(np.diag(gm) - 1.0))) if g.n else 0.0
+    for u in range(g.n):
+        for w in range(u + 1, g.n):
+            if not g.has_edge(u, w):
+                worst = max(worst, abs(float(gm[u, w])))
+    return RepValidation(worst <= tol, worst)
+
+
+def theta_result_checks_loop(lower, upper, gap, primal_x, dual_b, graph):
+    g = graph
+    n = g.n
+    x = primal_x.dense()
+    if abs(float(np.trace(x)) - 1.0) > 1e-8:
+        raise PreconditionViolated("primal certificate trace differs from 1")
+    b = dual_b.dense()
+    worst_pattern = 0.0
+    for u in range(n):
+        if b[u, u] != 1.0:
+            raise PreconditionViolated("dual certificate diagonal not exactly 1")
+        for v in range(u + 1, n):
+            if g.has_edge(u, v):
+                worst_pattern = max(worst_pattern, abs(float(x[u, v])))
+            elif b[u, v] != 1.0:
+                raise PreconditionViolated("dual certificate non-edge entry not exactly 1")
+    if worst_pattern > 1e-8:
+        raise PreconditionViolated(f"primal certificate edge residual {worst_pattern}")
+    vals, _ = eigh_dense(x)
+    if float(vals[-1]) < -1e-8:
+        raise PreconditionViolated(f"primal certificate eigenvalue {float(vals[-1])}")
+    if abs(float(x.sum()) - lower) > 1e-8 * max(1.0, abs(lower)):
+        raise PreconditionViolated("lower bound does not match primal certificate")
+    bvals, _ = eigh_dense(b)
+    if abs(float(bvals[0]) - upper) > 1e-8 * max(1.0, abs(upper)):
+        raise PreconditionViolated("upper bound does not match dual certificate")
+    if gap < -1e-9 or abs(gap - (upper - lower)) > 1e-12:
+        raise PreconditionViolated("gap field inconsistent with bounds")
+
+
+def numeric_rank_twice(m):
+    vals = eigen_sym(m).eigenvalues
+    tol = m.n * float(np.max(np.abs(vals))) * 2.0**-40
+    return int(np.sum(np.abs(vals) > tol))
+
+
+def trace_power_twice(m, k):
+    return float(np.sum(eigen_sym(m).eigenvalues**k))
+
+
+def gram_sum(rep):
+    v = rep.vectors
+    return sym_from_dense((v.T @ v + v.T @ v) / 2.0, tol=1e-8)
+
+
+def cycle_free_graph_rebuild(n, k, rng):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    adj = [0] * n
+    kept = []
+    for u, v in pairs:
+        if k == 3:
+            if adj[u] & adj[v]:
+                continue
+            kept.append((u, v))
+        else:
+            if contains_cycle(from_edges(n, kept + [(u, v)]), k):
+                continue
+            kept.append((u, v))
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return from_edges(n, kept)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def graphs(draw, n_min=1, n_max=8):
+    n = draw(st.integers(n_min, n_max))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+@st.composite
+def graphs_with_reps(draw):
+    g = draw(graphs())
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return g, random_rep(g, seed)  # valid up to rounding
+    rng = np.random.default_rng(seed)
+    d = draw(st.integers(1, 6))
+    v = rng.standard_normal((d, g.n)) * draw(st.sampled_from([1e-9, 1e-3, 1.0, 1e3]))
+    return g, OrthoRep(d, v, g)
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except PreconditionViolated as exc:
+        return str(exc)
+    return "ok"
+
+
+# ---------------------------------------------------------------------------
+# exact agreement
+# ---------------------------------------------------------------------------
+
+
+@SETTINGS
+@given(graphs_with_reps())
+def test_validate_rep_matches_loop(case):
+    g, rep = case
+    assert validate_rep(rep, g) == validate_rep_loop(rep, g)
+
+
+@SETTINGS
+@given(graphs(), st.integers(0, 2**32 - 1), st.sampled_from(["ok", "edge", "diag", "non-edge", "both"]))
+def test_theta_result_checks_match_loop(g, seed, fault):
+    rng = np.random.default_rng(seed)
+    n = g.n
+    edges = g.edges()
+    x = np.eye(n) / n
+    b = np.ones((n, n))
+    for u, v in edges:
+        x[u, v] = x[v, u] = float(rng.choice([0.0, 1e-9, 1e-7]) if fault == "edge" else 0.0)
+        b[u, v] = b[v, u] = float(rng.uniform(-1.0, 1.0))
+    if fault in ("diag", "both"):
+        w = int(rng.integers(n))
+        b[w, w] = 1.0 + 1e-12
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    if fault in ("non-edge", "both") and non_edges:
+        u, v = non_edges[int(rng.integers(len(non_edges)))]
+        b[u, v] = b[v, u] = 0.5
+    lower = float(x.sum())
+    upper = float(eigh_dense(b)[0][0])
+    fields = dict(lower=lower, upper=upper, gap=upper - lower,
+                  primal_x=sym_from_dense(x), dual_b=sym_from_dense(b), graph=g)
+    expected = _outcome(lambda: theta_result_checks_loop(**fields))
+    assert _outcome(lambda: ThetaResult(iterations=0, **fields)) == expected
+
+
+@SETTINGS
+@given(graphs_with_reps())
+def test_gram_single_product_matches_sum(case):
+    _, rep = case
+    assert np.array_equal(gram(rep).entries, gram_sum(rep).entries)
+
+
+@SETTINGS
+@given(graphs_with_reps())
+def test_schnirelmann_matches_two_decompositions(case):
+    _, rep = case
+    m = gram(rep)
+    out = schnirelmann_check(m)
+    tr = float(np.trace(m.dense()))
+    rank = numeric_rank_twice(m)
+    rhs = rank * trace_power_twice(m, 2)
+    assert (out.lhs, out.rhs, out.rank, out.slack) == (tr * tr, rhs, rank, rhs - tr * tr)
+
+
+@st.composite
+def cycle_free_cases(draw):
+    """Bipartite graphs for odd parity t = 1, forests for even parity t = 2."""
+    n = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        side = rng.integers(2, size=n)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if side[u] != side[v] and rng.random() < 0.5]
+        parity, t = "odd", 1
+    else:
+        edges = [(int(rng.integers(v)), v) for v in range(1, n) if rng.random() < 0.8]
+        parity, t = "even", 2
+    g = from_edges(n, edges)
+    return g, random_rep(g, int(rng.integers(2**31))), parity, t
+
+
+@SETTINGS
+@given(cycle_free_cases())
+def test_trace_power_matches_two_decompositions(case):
+    g, rep, parity, t = case
+    out = trace_power_certificate(rep, g, t, parity)
+    m = gram(rep)
+    assert out.trace_value == trace_power_twice(m, out.power)
+    assert out.lam_top == float(eigen_sym(m).eigenvalues[0])
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("seed", range(6))
+def test_cycle_free_graph_matches_rebuild(k, seed):
+    n = 4 + 2 * seed
+    expected = cycle_free_graph_rebuild(n, k, np.random.default_rng(seed))
+    assert _cycle_free_graph(n, k, np.random.default_rng(seed)) == expected

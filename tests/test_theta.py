@@ -166,6 +166,9 @@ def test_solver_cap_env_override(monkeypatch):
     monkeypatch.setenv("LAB_MAX_N", "0")
     with pytest.raises(PreconditionViolated):
         theta_sdp(empty_graph(1))
+    monkeypatch.setenv("LAB_MAX_N", "abc")
+    with pytest.raises(PreconditionViolated, match="LAB_MAX_N.*'abc'"):
+        theta_sdp(empty_graph(1))
 
 
 def test_solver_is_deterministic():
