@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .constructions import clique_union, clique_union_parts, furedi_graph, polarity_graph, polarity_graph_with_loops
+from .constructions import clique_union, clique_union_parts, furedi_graph, polarity_graph_with_loops
 from .errors import GapNotReached, PreconditionViolated, ThetalabError
 from .experiments import EXPERIMENT_NAMES, run_experiments
 from .graph import complement, contains_pattern, graph_from_json, graph_to_json, parse_pattern
@@ -90,8 +90,7 @@ def cmd_construct(args) -> int:
         prov = {"family": "furedi", "q": args.q, "t": args.t,
                 "loops_removed": sorted(fg.loops_removed)}
     elif args.family == "polarity":
-        g = polarity_graph(args.q)
-        _, absolute = polarity_graph_with_loops(args.q)
+        g, absolute = polarity_graph_with_loops(args.q)
         prov = {"family": "polarity", "q": args.q, "loops_removed": sorted(absolute)}
     else:
         if args.n < 1 or args.t < 1:

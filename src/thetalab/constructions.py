@@ -2,9 +2,10 @@
 
 Three constructions live here: a biclique-free graph on scaling classes of
 nonzero field pairs, the projective-plane polarity graph, and disjoint
-unions of equal cliques.  The field constructions build a loop-included
-incidence first, verify their algebraic identities there, and emit the
-simple graph with loops stripped.
+unions of equal cliques.  The field constructions evaluate their
+loop-included relation on element indices through the field's log/antilog
+and digit tables (ffield.field_tables), one block of rows at a time, and
+emit the simple graph with loops stripped.
 """
 
 from __future__ import annotations
@@ -13,10 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderUnavailable
-from .ffield import FieldElement, FieldSpec, element_of_order, field_from_order, subgroup
+from .errors import ComplexityRefused, OrderUnavailable
+from .ffield import FieldElement, field_from_order, field_tables, require_order
 from .graph import Graph, from_edges
 from .linalg import adjacency_dense
+
+# largest vertex count a field construction builds; its bitset rows alone
+# take n^2/8 bytes, and the adjacency mask is computed in row blocks
+CONSTRUCTION_N_CAP = 20_000
+_BLOCK_ENTRIES = 1 << 14  # mask entries per row block: 128 KB per int64 temporary
 
 
 @dataclass(frozen=True)
@@ -38,55 +44,74 @@ class FurediGraph:
     loops_removed: tuple[int, ...]
 
 
-def _pair_dot(f: FieldSpec, u, v) -> FieldElement:
-    return f.add(f.mul(u[0], v[0]), f.mul(u[1], v[1]))
+def _refuse_above_cap(name: str, n: int) -> None:
+    if n > CONSTRUCTION_N_CAP:
+        raise ComplexityRefused(f"{name} has n = {n} vertices, above the construction cap {CONSTRUCTION_N_CAP}")
+
+
+def _bitset_rows(n: int, block_mask) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bitset rows of a symmetric relation, plus the vertices related to themselves.
+
+    block_mask(s, e) returns the (e - s, n) boolean mask of rows s..e-1,
+    diagonal included; the diagonal is reported as loops and cleared.
+    """
+    rows: list[int] = []
+    loops: list[int] = []
+    step = max(1, _BLOCK_ENTRIES // n)
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        mask = block_mask(s, e)
+        local = np.arange(e - s)
+        diag = mask[local, local + s]
+        loops.extend((local[diag] + s).tolist())
+        mask[local, local + s] = False
+        packed = np.packbits(mask, axis=1, bitorder="little")
+        rows.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
+    return tuple(rows), tuple(loops)
 
 
 def furedi_graph(q: int, t: int) -> FurediGraph:
     """Biclique-free graph on the (q^2 - 1)/t scaling classes of GF(q)^2.
 
     Vertices are orbits of nonzero pairs under coordinatewise scaling by
-    the order-t subgroup; two classes are adjacent when the dot product of
-    any representatives lands in the subgroup.  Well-defined because the
-    subgroup is multiplicatively closed.  Requires t to divide q - 1.
+    the order-t subgroup H; two classes are adjacent when the dot product of
+    any representatives lands in H.  Well-defined because H is
+    multiplicatively closed.  Requires t to divide q - 1.
+
+    The cosets of H are the residue classes of the discrete log mod
+    (q - 1)/t.  The smallest pair of the orbit of (a, b) is (0, min bH)
+    when a = 0; otherwise its first coordinate is min aH, reached by one
+    scalar only, so the smallest pairs are (m, b) for every coset minimum
+    m and every b.  classes lists them in lexicographic order, which is
+    their order of first appearance when enumerating pairs.
     """
     if t < 1:
         raise OrderUnavailable(f"subgroup order must be >= 1, got {t}")
     f = field_from_order(q)
-    gen = element_of_order(f, t)
-    sub = subgroup(f, gen, t)
-    sub_set = set(sub)
+    require_order(q, t)
+    n = (q * q - 1) // t
+    _refuse_above_cap(f"furedi({q}, {t})", n)
+    tab = field_tables(f)
+    sub = tab.subgroup(tab.element_of_order(t), t)
+    in_sub = np.zeros(q, dtype=bool)
+    in_sub[sub] = True
 
-    # orbit assignment in enumeration order; first pair seen is canonical
-    class_of: dict[tuple[int, int], int] = {}
-    classes: list[tuple[FieldElement, FieldElement]] = []
-    for ia in range(q):
-        a = f.element(ia)
-        for ib in range(q):
-            if ia == 0 and ib == 0:
-                continue
-            b = f.element(ib)
-            if (ia, ib) in class_of:
-                continue
-            cid = len(classes)
-            classes.append((a, b))
-            for c in sub:
-                key = (f.index(f.mul(c, a)), f.index(f.mul(c, b)))
-                class_of[key] = cid
-    n = len(classes)
-    assert n == (q * q - 1) // t
+    # smallest index of each coset of H, ascending
+    _, first = np.unique(tab.log[1:] % ((q - 1) // t), return_index=True)
+    coset_min = np.sort(first + 1)
+    a = np.concatenate([np.zeros_like(coset_min), np.repeat(coset_min, q)])
+    b = np.concatenate([coset_min, np.tile(np.arange(q), len(coset_min))])
+    assert len(a) == n
 
-    edges = []
-    loops = []
-    for u in range(n):
-        if _pair_dot(f, classes[u], classes[u]) in sub_set:
-            loops.append(u)
-        for v in range(u + 1, n):
-            if _pair_dot(f, classes[u], classes[v]) in sub_set:
-                edges.append((u, v))
-    labels = tuple(f"{f.index(a)}:{f.index(b)}" for a, b in classes)
-    g = from_edges(n, edges, labels=labels)
-    return FurediGraph(g, q, t, tuple(classes), sub, tuple(loops))
+    def block_mask(s, e):
+        return in_sub[tab.add(tab.mul(a[s:e, None], a), tab.mul(b[s:e, None], b))]
+
+    rows, loops = _bitset_rows(n, block_mask)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    elements = [f.element(i) for i in range(q)]
+    labels = tuple(f"{x}:{y}" for x, y in pairs)
+    classes = tuple((elements[x], elements[y]) for x, y in pairs)
+    return FurediGraph(Graph(n, rows, labels), q, t, classes, tuple(elements[i] for i in sub.tolist()), loops)
 
 
 @dataclass(frozen=True)
@@ -123,46 +148,31 @@ def furedi_square_identity(fg: FurediGraph) -> SquareIdentityReport:
     return SquareIdentityReport(holds, int(np.abs(residual).max()), counts, row_sums, expected_row)
 
 
-def _projective_points(f: FieldSpec):
-    """Points of the projective plane, first nonzero coordinate one."""
-    q = f.q
-    pts = []
-    one = f.one
-    for iy in range(q):
-        for iz in range(q):
-            pts.append((one, f.element(iy), f.element(iz)))
-    for iz in range(q):
-        pts.append((f.zero, one, f.element(iz)))
-    pts.append((f.zero, f.zero, one))
-    return pts
-
-
 def polarity_graph_with_loops(q: int) -> tuple[Graph, tuple[int, ...]]:
     """Polarity graph plus the list of self-orthogonal points.
 
-    Vertices are the q^2 + q + 1 projective points over GF(q); u ~ v when
-    the 3-term dot product vanishes.  Self-orthogonal points would carry
-    loops; they are removed from the simple graph and returned separately.
+    Vertices are the q^2 + q + 1 projective points over GF(q), first
+    nonzero coordinate one, in the order (1, y, z), (0, 1, z), (0, 0, 1)
+    with y and z ascending; u ~ v when the 3-term dot product vanishes.
+    Self-orthogonal points would carry loops; they are removed from the
+    simple graph and returned separately.
     """
     f = field_from_order(q)
-    pts = _projective_points(f)
-    n = len(pts)
+    n = q * q + q + 1
+    _refuse_above_cap(f"polarity({q})", n)
+    tab = field_tables(f)
+    span = np.arange(q)
+    x = np.concatenate([np.ones(q * q, dtype=np.int64), np.zeros(q + 1, dtype=np.int64)])
+    y = np.concatenate([np.repeat(span, q), np.ones(q, dtype=np.int64), [0]])
+    z = np.concatenate([np.tile(span, q), span, [1]])
 
-    def dot(u, v):
-        s = f.mul(u[0], v[0])
-        s = f.add(s, f.mul(u[1], v[1]))
-        return f.add(s, f.mul(u[2], v[2]))
+    def block_mask(s, e):
+        dot = tab.add(tab.mul(x[s:e, None], x), tab.mul(y[s:e, None], y))
+        return tab.add(dot, tab.mul(z[s:e, None], z)) == 0
 
-    edges = []
-    absolute = []
-    for u in range(n):
-        if f.is_zero(dot(pts[u], pts[u])):
-            absolute.append(u)
-        for v in range(u + 1, n):
-            if f.is_zero(dot(pts[u], pts[v])):
-                edges.append((u, v))
-    labels = tuple(":".join(str(f.index(c)) for c in p) for p in pts)
-    return from_edges(n, edges, labels=labels), tuple(absolute)
+    rows, absolute = _bitset_rows(n, block_mask)
+    labels = tuple(f"{u}:{v}:{w}" for u, v, w in zip(x.tolist(), y.tolist(), z.tolist()))
+    return Graph(n, rows, labels), absolute
 
 
 def polarity_graph(q: int) -> Graph:

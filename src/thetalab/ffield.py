@@ -4,12 +4,20 @@ Elements are coefficient vectors over GF(p), little-endian (index = degree).
 Extension fields reduce modulo a monic irreducible polynomial chosen
 deterministically at construction: the lexicographically smallest one,
 coefficients compared low degree first.
+
+field_tables turns a field into integer tables over element indices
+(log/antilog and base-p digits), built once per field with the exact
+arithmetic above; the graph constructions multiply and add whole index
+arrays through them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DivisionByZero, NotPrime, OrderUnavailable, Overflow
 
@@ -272,13 +280,18 @@ def field_from_order(q: int) -> FieldSpec:
     return field_create(p, alpha)
 
 
+def require_order(q: int, t: int) -> None:
+    """Raise OrderUnavailable unless GF(q)* has elements of order t, i.e. t | q-1."""
+    if t < 1 or (q - 1) % t != 0:
+        raise OrderUnavailable(f"no element of order {t}: t must divide q-1 = {q - 1}")
+
+
 def element_of_order(spec: FieldSpec, t: int) -> FieldElement:
     """First element (enumeration order) of multiplicative order exactly t.
 
     Requires t | q-1; otherwise no such element exists in the cyclic group.
     """
-    if t < 1 or (spec.q - 1) % t != 0:
-        raise OrderUnavailable(f"no element of order {t}: t must divide q-1 = {spec.q - 1}")
+    require_order(spec.q, t)
     rs = prime_factors(t)
     for i in range(1, spec.q):
         a = spec.element(i)
@@ -297,3 +310,68 @@ def subgroup(spec: FieldSpec, h: FieldElement, t: int) -> tuple[FieldElement, ..
         cur = spec.mul(cur, h)
         out.append(cur)
     return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class FieldTables:
+    """GF(q) as integer tables over element indices (enumeration order).
+
+    With g the first primitive element in enumeration order, log[i] is the
+    discrete log of element i for i >= 1 and antilog[k] is the index of
+    g^k.  log[0] is the sentinel 2(q-1), and antilog holds two periods of
+    g^k followed by zeros, so antilog[log[a] + log[b]] is the product of
+    a and b, zero included, without a branch or a modulus.  digits[k]
+    is the k-th base-p digit of every index, so addition is digitwise mod
+    p (a bitwise xor when p = 2).  Every table has O(q) entries; mul and
+    add act elementwise on index arrays of any shape.
+    """
+
+    p: int
+    q: int
+    log: np.ndarray
+    antilog: np.ndarray
+    digits: np.ndarray  # (alpha, q)
+
+    def mul(self, a, b) -> np.ndarray:
+        return self.antilog[self.log[a] + self.log[b]]
+
+    def add(self, a, b) -> np.ndarray:
+        p = self.p
+        if p == 2:
+            return np.bitwise_xor(a, b)  # digitwise addition mod 2
+        out = (self.digits[0][a] + self.digits[0][b]) % p
+        for k in range(1, len(self.digits)):
+            out += (self.digits[k][a] + self.digits[k][b]) % p * p**k
+        return out
+
+    def element_of_order(self, t: int) -> int:
+        """Index of the first element of multiplicative order exactly t; t | q-1."""
+        require_order(self.q, t)
+        orders = (self.q - 1) // np.gcd(self.log[1:], self.q - 1)
+        return int(np.argmax(orders == t)) + 1
+
+    def subgroup(self, h: int, t: int) -> np.ndarray:
+        """Indices of 1, h, ..., h^(t-1) for an element h of order t."""
+        return self.antilog[np.arange(t) * int(self.log[h]) % (self.q - 1)]
+
+
+@functools.lru_cache(maxsize=128)
+def field_tables(spec: FieldSpec) -> FieldTables:
+    """Log/antilog and digit tables of a field, built with FieldSpec arithmetic
+    and kept for the 128 most recently used fields."""
+    q = spec.q
+    g = element_of_order(spec, q - 1)
+    powers = np.empty(q - 1, dtype=np.intp)
+    cur = spec.one
+    for k in range(q - 1):
+        powers[k] = spec.index(cur)
+        cur = spec.mul(cur, g)
+    log = np.empty(q, dtype=np.intp)
+    log[0] = 2 * (q - 1)
+    log[powers] = np.arange(q - 1)
+    antilog = np.concatenate([powers, powers, np.zeros(2 * (q - 1) + 1, dtype=np.intp)])
+    idx = np.arange(q, dtype=np.intp)
+    digits = np.stack([idx // spec.p**k % spec.p for k in range(spec.alpha)])
+    for table in (log, antilog, digits):
+        table.flags.writeable = False  # shared by every caller through the cache
+    return FieldTables(spec.p, q, log, antilog, digits)

@@ -252,6 +252,8 @@ def msr_lower_chain_check(rep: OrthoRep, g: Graph, t: int, tol: float = 1e-8) ->
     Caller attests g is free of the relevant tree-plus-vertex pattern with
     tree size t; that is what caps each Gram row sum of squares at t.
     """
+    if t < 1:
+        raise PreconditionViolated(f"msr chain needs t >= 1, got {t}")
     check = validate_rep(rep, g)
     if not check.ok:
         raise RepInvalid(f"rep residual {check.max_residual} exceeds tolerance")

@@ -106,8 +106,10 @@ def theta_sdp(g: Graph, tol: float = 1e-6, iteration_cap: int = DEFAULT_ITERATIO
     cap_n = solver_cap()
     if n > cap_n:
         raise ComplexityRefused(f"n = {n} exceeds solver cap {cap_n}")
-    if tol < 1e-8:
-        raise PreconditionViolated(f"tol must be >= 1e-8, got {tol}")
+    if not (math.isfinite(tol) and tol >= 1e-8):
+        raise PreconditionViolated(f"tol must be finite and >= 1e-8, got {tol}")
+    if iteration_cap < 1:
+        raise PreconditionViolated(f"iteration_cap must be >= 1, got {iteration_cap}")
 
     rows, cols = np.nonzero(adjacency_dense(g))
     has_edges = rows.size > 0

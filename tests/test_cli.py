@@ -189,6 +189,25 @@ def test_bad_parameters_exit_two(capsys, argv, needle):
     assert err.startswith("error:") and needle in err
 
 
+@pytest.mark.parametrize("args, needle", [
+    (["construct", "furedi", "--q", "4999", "--t", "2"], "n = 12495000 vertices, above the construction cap 20000"),
+    (["construct", "polarity", "--q", "149"], "n = 22351 vertices, above the construction cap 20000"),
+    (["theta", "--graph", "{c5}", "--tol", "nan"], "tol must be finite"),
+    (["theta", "--graph", "{c5}", "--tol", "inf"], "tol must be finite"),
+    (["theta", "--graph", "{c5}", "--iteration-cap", "-5"], "iteration_cap must be >= 1"),
+    (["theta", "--graph", "{c5}", "--iteration-cap", "0"], "iteration_cap must be >= 1"),
+    (["rep", "certify", "--file", "{rep}", "--check", "msr-chain", "--t", "0"], "t >= 1"),
+    (["rep", "certify", "--file", "{rep}", "--check", "msr-chain", "--t", "-2"], "t >= 1"),
+])
+def test_refused_inputs_exit_two(tmp_path, capsys, args, needle):
+    files = {"c5": write_graph(tmp_path / "c5.json", cycle_graph(5)), "rep": str(tmp_path / "rep.json")}
+    g = clique_union(9, 3)
+    (tmp_path / "rep.json").write_text(json.dumps(rep_to_json(basis_rep_from_clique_cover(g, clique_union_parts(9, 3)))))
+    code, out, err = run(capsys, [a.format(**files) for a in args])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and needle in err and "Traceback" not in err
+
+
 def test_unwritable_out_exits_two(tmp_path, capsys):
     target = tmp_path / "missing" / "f.json"
     code, _, err = run(capsys, ["construct", "cliques", "--n", "4", "--t", "2", "--out", str(target)])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from thetalab import constructions
 from thetalab.constructions import (
     FurediGraph,
     clique_union,
@@ -14,7 +15,7 @@ from thetalab.constructions import (
     polarity_graph,
     polarity_graph_with_loops,
 )
-from thetalab.errors import OrderUnavailable
+from thetalab.errors import ComplexityRefused, OrderUnavailable
 from thetalab.ffield import prime_power_split
 from thetalab.graph import (
     Graph,
@@ -102,6 +103,13 @@ def test_furedi_rejects_bad_subgroup_order():
         furedi_graph(5, 3)
     with pytest.raises(OrderUnavailable):
         furedi_graph(7, 0)
+
+
+def test_field_constructions_refuse_above_vertex_cap(monkeypatch):
+    monkeypatch.setattr(constructions, "CONSTRUCTION_N_CAP", 12)
+    assert furedi_graph(5, 2).graph.n == 12
+    with pytest.raises(ComplexityRefused, match="polarity\\(3\\) has n = 13 vertices, above the construction cap 12"):
+        polarity_graph_with_loops(3)
 
 
 def _divisors(m: int):

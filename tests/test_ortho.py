@@ -239,6 +239,14 @@ def test_msr_chain_on_block_reps():
     assert out.ok and abs(out.trace_sq - 5.0) <= 1e-9
 
 
+def test_msr_chain_rejects_tree_size_below_one():
+    g = clique_union(9, 3)
+    rep = basis_rep_from_clique_cover(g, clique_union_parts(9, 3))
+    for t in (0, -1):
+        with pytest.raises(PreconditionViolated, match="t >= 1"):
+            msr_lower_chain_check(rep, g, t)
+
+
 def test_msr_chain_on_random_c4_free_graph():
     seed = 0
     while True:

@@ -1,10 +1,11 @@
 """Library validation and certificates against plain reference versions.
 
 The references are O(n^2) Python loops for the pattern checks, one
-eigendecomposition per derived quantity for the trace certificates, and a
-full rebuild per candidate edge for the cycle-free generator.  Both sides
-perform the same floating-point operations, so every comparison is exact
-equality, not a tolerance.
+eigendecomposition per derived quantity for the trace certificates, a
+full rebuild per candidate edge for the cycle-free generator, and the
+per-pair FieldSpec arithmetic for the finite-field constructions.  Both
+sides perform the same floating-point operations, so every comparison is
+exact equality, not a tolerance.
 """
 
 import numpy as np
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetalab.constructions import furedi_graph, polarity_graph_with_loops
 from thetalab.errors import PreconditionViolated
 from thetalab.experiments import _cycle_free_graph
+from thetalab.ffield import element_of_order, field_from_order, field_tables, prime_factors, subgroup
 from thetalab.graph import contains_cycle, from_edges
 from thetalab.linalg import eigen_sym, eigh_dense, sym_from_dense
 from thetalab.ortho import (
@@ -108,6 +111,53 @@ def cycle_free_graph_rebuild(n, k, rng):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return from_edges(n, kept)
+
+
+def furedi_graph_loop(q, t):
+    """Scaling classes by orbit enumeration, adjacency by per-pair dot products."""
+    f = field_from_order(q)
+    sub = subgroup(f, element_of_order(f, t), t)
+    sub_set = set(sub)
+
+    def dot(u, v):
+        return f.add(f.mul(u[0], v[0]), f.mul(u[1], v[1]))
+
+    class_of = {}
+    classes = []
+    for ia in range(q):
+        for ib in range(q):
+            if (ia, ib) == (0, 0) or (ia, ib) in class_of:
+                continue
+            a, b = f.element(ia), f.element(ib)
+            cid = len(classes)
+            classes.append((a, b))
+            for c in sub:
+                class_of[(f.index(f.mul(c, a)), f.index(f.mul(c, b)))] = cid
+    n = len(classes)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if dot(classes[u], classes[v]) in sub_set]
+    loops = tuple(u for u in range(n) if dot(classes[u], classes[u]) in sub_set)
+    labels = tuple(f"{f.index(a)}:{f.index(b)}" for a, b in classes)
+    return from_edges(n, edges, labels=labels), loops, tuple(classes), sub
+
+
+def polarity_graph_loop(q):
+    """Projective points (first nonzero coordinate one), adjacency by per-pair dot products."""
+    f = field_from_order(q)
+    pts = [(f.one, f.element(y), f.element(z)) for y in range(q) for z in range(q)]
+    pts += [(f.zero, f.one, f.element(z)) for z in range(q)] + [(f.zero, f.zero, f.one)]
+    n = len(pts)
+
+    def dot(u, v):
+        return f.add(f.add(f.mul(u[0], v[0]), f.mul(u[1], v[1])), f.mul(u[2], v[2]))
+
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if f.is_zero(dot(pts[u], pts[v]))]
+    absolute = tuple(u for u in range(n) if f.is_zero(dot(pts[u], pts[u])))
+    labels = tuple(":".join(str(f.index(c)) for c in p) for p in pts)
+    return from_edges(n, edges, labels=labels), absolute
+
+
+def _prime_powers(q_max):
+    return [q for q in range(2, q_max + 1) if len(prime_factors(q)) == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +283,40 @@ def test_cycle_free_graph_matches_rebuild(k, seed):
     n = 4 + 2 * seed
     expected = cycle_free_graph_rebuild(n, k, np.random.default_rng(seed))
     assert _cycle_free_graph(n, k, np.random.default_rng(seed)) == expected
+
+
+FUREDI_CASES = [(q, t) for q in _prime_powers(120) for t in range(1, q)
+                if (q - 1) % t == 0 and (q * q - 1) // t <= 120]
+
+
+@pytest.mark.parametrize("q, t", FUREDI_CASES)
+def test_furedi_graph_matches_loop(q, t):
+    fg = furedi_graph(q, t)
+    assert (fg.graph, fg.loops_removed, fg.classes, fg.scaling_subgroup) == furedi_graph_loop(q, t)
+
+
+@pytest.mark.parametrize("q", _prime_powers(11))
+def test_polarity_graph_matches_loop(q):
+    assert polarity_graph_with_loops(q) == polarity_graph_loop(q)
+
+
+@pytest.mark.parametrize("q", _prime_powers(64))
+def test_table_arithmetic_matches_field_spec(q):
+    f = field_from_order(q)
+    tab = field_tables(f)
+    a, b = np.divmod(np.arange(q * q), q)
+    expected_mul = [f.index(f.mul(f.element(x), f.element(y))) for x, y in zip(a.tolist(), b.tolist())]
+    expected_add = [f.index(f.add(f.element(x), f.element(y))) for x, y in zip(a.tolist(), b.tolist())]
+    assert tab.mul(a, b).tolist() == expected_mul
+    assert tab.add(a, b).tolist() == expected_add
+
+
+@pytest.mark.parametrize("q", _prime_powers(300))
+def test_table_generator_matches_element_of_order(q):
+    f = field_from_order(q)
+    tab = field_tables(f)
+    for t in range(1, q):
+        if (q - 1) % t == 0:
+            h = element_of_order(f, t)
+            assert tab.element_of_order(t) == f.index(h)
+            assert tab.subgroup(f.index(h), t).tolist() == [f.index(x) for x in subgroup(f, h, t)]

@@ -154,6 +154,12 @@ def test_solver_caps():
         theta_sdp(empty_graph(201))
     with pytest.raises(PreconditionViolated):
         theta_sdp(cycle_graph(4), tol=1e-9)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(PreconditionViolated, match="tol must be finite"):
+            theta_sdp(cycle_graph(5), tol=tol)
+    for cap in (0, -5):
+        with pytest.raises(PreconditionViolated, match="iteration_cap must be >= 1"):
+            theta_sdp(cycle_graph(5), iteration_cap=cap)
     with pytest.raises(PreconditionViolated):
         theta_sdp(empty_graph(0))
 
