@@ -16,13 +16,12 @@ import numpy as np
 
 from .errors import ComplexityRefused, OrderUnavailable
 from .ffield import FieldElement, field_from_order, field_tables, require_order
-from .graph import Graph, from_edges
+from .graph import BLOCK_ENTRIES, Graph, from_edges
 from .linalg import adjacency_dense
 
 # largest vertex count a field construction builds; its bitset rows alone
 # take n^2/8 bytes, and the adjacency mask is computed in row blocks
 CONSTRUCTION_N_CAP = 20_000
-_BLOCK_ENTRIES = 1 << 14  # mask entries per row block: 128 KB per int64 temporary
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ def _bitset_rows(n: int, block_mask) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     rows: list[int] = []
     loops: list[int] = []
-    step = max(1, _BLOCK_ENTRIES // n)
+    step = max(1, BLOCK_ENTRIES // n)
     for s in range(0, n, step):
         e = min(s + step, n)
         mask = block_mask(s, e)

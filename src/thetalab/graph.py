@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
+import numpy as np
+
 from .errors import (
     ComplexityRefused,
     IndexOutOfRange,
@@ -22,6 +24,9 @@ from .errors import (
 
 BICLIQUE_SUBSET_CAP = 10**7
 CHROMATIC_N_CAP = 40
+# entries per block of adjacency rows, for the field constructions' masks
+# and the codegree tiles: 64-128 KB per temporary
+BLOCK_ENTRIES = 1 << 14
 
 
 def _bits(x: int):
@@ -58,6 +63,14 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """Edge list sorted lexicographically, u < v."""
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u] >> (u + 1) << (u + 1))]
+
+
+def adjacency_rows(g: Graph, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows start..stop-1 of the adjacency matrix as a 0/1 uint8 array."""
+    rows = g.adj[start:stop]
+    width = (g.n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), width), axis=1, count=g.n, bitorder="little")
 
 
 def from_edges(n: int, edges, labels=None) -> Graph:
@@ -111,14 +124,40 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _codegree_reaches(g: Graph, s: int) -> bool:
+    """True iff two distinct vertices have at least s common neighbours.
+
+    Common-neighbour counts are the off-diagonal entries of A·A.  They are
+    computed one tile pair i <= j at a time, each tile BLOCK_ENTRIES // n
+    rows of A, so no n x n matrix is held.  float32 is exact here: every
+    partial sum is an integer <= n < 2^24.
+    """
+    n = g.n
+    step = max(1, BLOCK_ENTRIES // max(n, 1))
+    for i in range(0, n, step):
+        left = adjacency_rows(g, i, i + step).astype(np.float32)
+        for j in range(i, n, step):
+            right = left if j == i else adjacency_rows(g, j, j + step).astype(np.float32)
+            common = left @ right.T
+            if j == i:
+                np.fill_diagonal(common, 0.0)
+            if common.max() >= s:
+                return True
+    return False
+
+
 def contains_cycle(g: Graph, k: int) -> bool:
     """True iff g contains a cycle of length exactly k as a subgraph.
 
-    Backtracking DFS over simple paths rooted at each cycle's minimum
+    A 4-cycle is exactly two distinct vertices with >= 2 common neighbours,
+    so k = 4 is decided from codegrees (_codegree_reaches).  Other k use a
+    backtracking DFS over simple paths rooted at each cycle's minimum
     vertex, pruned by BFS distance back to the root.
     """
     if k < 3:
         raise PreconditionViolated("cycle length must be >= 3")
+    if k == 4:
+        return _codegree_reaches(g, 2)
     n, adj = g.n, g.adj
     for s in range(n):
         allowed = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)  # vertices > s
@@ -167,7 +206,11 @@ def contains_complete_bipartite(g: Graph, t: int, s: int, cap: int = BICLIQUE_SU
     """True iff some t-subset has >= s common neighbors (a K_{t,s} subgraph).
 
     Enumerates the smaller side t; common neighbors are automatically
-    disjoint from the subset since loops are absent.
+    disjoint from the subset since loops are absent.  For t = 2 the
+    verdict is whether some off-diagonal codegree reaches s, read from A·A
+    (_codegree_reaches) instead of a loop over pairs.  cap
+    (BICLIQUE_SUBSET_CAP by default) still refuses C(n, t) > cap before
+    any work, t = 2 included.
     """
     from itertools import combinations
 
@@ -178,6 +221,8 @@ def contains_complete_bipartite(g: Graph, t: int, s: int, cap: int = BICLIQUE_SU
         return False
     if comb(n, t) > cap:
         raise ComplexityRefused(f"C({n},{t}) exceeds cap {cap}")
+    if t == 2:
+        return _codegree_reaches(g, s)
     for subset in combinations(range(n), t):
         common = (1 << n) - 1
         for v in subset:
@@ -432,9 +477,16 @@ def graph_to_json(g: Graph) -> dict:
     return obj
 
 
+def json_int(value, what: str) -> int:
+    """value if it is a JSON integer; floats and booleans are refused, not truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def graph_from_json(obj: dict) -> Graph:
-    return from_edges(int(obj["n"]), [(int(u), int(v)) for u, v in obj.get("edges", [])],
-                      obj.get("labels"))
+    edges = [(json_int(u, "edge endpoint"), json_int(v, "edge endpoint")) for u, v in obj.get("edges", [])]
+    return from_edges(json_int(obj["n"], "n"), edges, obj.get("labels"))
 
 
 def graph_to_text(g: Graph) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .graph import Graph
+from .graph import Graph, adjacency_rows
 
 _EPS = np.finfo(np.float64).eps
 
@@ -58,10 +58,7 @@ def sym_from_dense(a, tol: float = 1e-10) -> SymMatrix:
 
 
 def adjacency_dense(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = 1.0
-    return a
+    return adjacency_rows(g).astype(np.float64)
 
 
 def adjacency_sym(g: Graph) -> SymMatrix:

@@ -20,7 +20,7 @@ from .errors import (
     RepInvalid,
     UnsupportedPattern,
 )
-from .graph import Graph, complement, contains_clique, contains_cycle, cycle_graph, graph_from_json, graph_to_json, parse_pattern
+from .graph import Graph, complement, contains_clique, contains_cycle, cycle_graph, graph_from_json, graph_to_json, json_int, parse_pattern
 from .linalg import SymMatrix, adjacency_dense, eigen_sym, sym_from_dense, trace_power
 
 
@@ -183,7 +183,7 @@ def rep_to_json(rep: OrthoRep) -> dict:
 def rep_from_json(obj: dict) -> OrthoRep:
     g = graph_from_json(obj["graph"])
     v = np.asarray(obj["vectors"], dtype=np.float64).T
-    return OrthoRep(int(obj["d"]), v, g)
+    return OrthoRep(json_int(obj["d"], "d"), v, g)
 
 
 # ---------------------------------------------------------------------------

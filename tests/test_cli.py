@@ -208,6 +208,33 @@ def test_refused_inputs_exit_two(tmp_path, capsys, args, needle):
     assert err.startswith("error:") and needle in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("obj, needle", [
+    ({"n": 2.5, "edges": []}, "n must be an integer, got 2.5"),
+    ({"n": 3.0, "edges": [[0, 2]]}, "n must be an integer, got 3.0"),
+    ({"n": True, "edges": []}, "n must be an integer, got True"),
+    ({"n": 3, "edges": [[0.9, 2.7]]}, "edge endpoint must be an integer, got 0.9"),
+    ({"n": 3, "edges": [[0, 2.0]]}, "edge endpoint must be an integer, got 2.0"),
+    ({"n": 3, "edges": [[False, 2]]}, "edge endpoint must be an integer, got False"),
+])
+def test_non_integer_graph_json_exits_two(tmp_path, capsys, obj, needle):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["spectrum", "--graph", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"{path} is not a graph file" in err and needle in err
+
+
+@pytest.mark.parametrize("d, needle", [(3.0, "got 3.0"), (2.5, "got 2.5"), (True, "got True")])
+def test_non_integer_rep_dimension_exits_two(tmp_path, capsys, d, needle):
+    obj = rep_to_json(umbrella_rep(False))
+    obj["d"] = d
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["rep", "validate", "--file", str(path)])
+    assert code == 2 and out == ""
+    assert f"{path} is not a representation file: d must be an integer, {needle}" in err
+
+
 def test_unwritable_out_exits_two(tmp_path, capsys):
     target = tmp_path / "missing" / "f.json"
     code, _, err = run(capsys, ["construct", "cliques", "--n", "4", "--t", "2", "--out", str(target)])

@@ -16,7 +16,7 @@ from thetalab.constructions import (
     polarity_graph_with_loops,
 )
 from thetalab.errors import ComplexityRefused, OrderUnavailable
-from thetalab.ffield import prime_power_split
+from thetalab.ffield import prime_factors, prime_power_split
 from thetalab.graph import (
     Graph,
     bfs_layers,
@@ -194,7 +194,7 @@ def test_polarity_3_matches_integer_oracle():
     assert set(loops) == absolute
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [q for q in range(2, 32) if len(prime_factors(q)) == 1])
 def test_polarity_counts_and_c4_freeness(q):
     g, loops = polarity_graph_with_loops(q)
     assert g.n == q * q + q + 1

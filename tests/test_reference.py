@@ -1,24 +1,27 @@
 """Library validation and certificates against plain reference versions.
 
-The references are O(n^2) Python loops for the pattern checks, one
+The references are O(n^2) Python loops for the certificate checks, the
+path DFS and the pair loop for the 4-cycle and K_{2,s} searches, one
 eigendecomposition per derived quantity for the trace certificates, a
-full rebuild per candidate edge for the cycle-free generator, and the
-per-pair FieldSpec arithmetic for the finite-field constructions.  Both
-sides perform the same floating-point operations, so every comparison is
-exact equality, not a tolerance.
+full rebuild per candidate edge for the cycle-free generator, the
+per-pair FieldSpec arithmetic for the finite-field constructions, and an
+edge loop for the dense adjacency matrix.  Both sides perform the same
+floating-point operations, so every comparison is exact equality, not a
+tolerance.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thetalab.constructions import furedi_graph, polarity_graph_with_loops
+from thetalab import graph as graph_module
+from thetalab.constructions import furedi_graph, polarity_graph, polarity_graph_with_loops
 from thetalab.errors import PreconditionViolated
 from thetalab.experiments import _cycle_free_graph
 from thetalab.ffield import element_of_order, field_from_order, field_tables, prime_factors, subgroup
-from thetalab.graph import contains_cycle, from_edges
-from thetalab.linalg import eigen_sym, eigh_dense, sym_from_dense
+from thetalab.graph import _bits, contains_complete_bipartite, contains_cycle, empty_graph, from_edges
+from thetalab.linalg import adjacency_dense, eigen_sym, eigh_dense, sym_from_dense
 from thetalab.ortho import (
     OrthoRep,
     RepValidation,
@@ -156,6 +159,49 @@ def polarity_graph_loop(q):
     return from_edges(n, edges, labels=labels), absolute
 
 
+def contains_cycle_dfs(g, k):
+    """Path DFS from each cycle's minimum vertex, pruned by BFS distance to it."""
+    n, adj = g.n, g.adj
+    for s in range(n):
+        allowed = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)
+        dist = [k + 1] * n
+        dist[s] = 0
+        frontier = seen = 1 << s
+        d = 0
+        while frontier and d <= k:
+            d += 1
+            nxt = 0
+            for u in _bits(frontier):
+                nxt |= adj[u]
+            nxt &= allowed & ~seen
+            for u in _bits(nxt):
+                dist[u] = d
+            seen |= nxt
+            frontier = nxt
+
+        def walk(u, used, length):
+            if length == k - 1:
+                return bool(adj[u] >> s & 1)
+            return any(walk(w, used | (1 << w), length + 1)
+                       for w in _bits(adj[u] & allowed & ~used) if dist[w] <= k - length - 1)
+
+        if any(walk(v, (1 << s) | (1 << v), 1) for v in _bits(adj[s] & allowed)):
+            return True
+    return False
+
+
+def k2s_pair_loop(g, s):
+    """Some pair u < v with at least s common neighbours."""
+    return any((g.adj[u] & g.adj[v]).bit_count() >= s for u in range(g.n) for v in range(u + 1, g.n))
+
+
+def adjacency_dense_loop(g):
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
 def _prime_powers(q_max):
     return [q for q in range(2, q_max + 1) if len(prime_factors(q)) == 1]
 
@@ -183,6 +229,15 @@ def graphs_with_reps(draw):
     d = draw(st.integers(1, 6))
     v = rng.standard_normal((d, g.n)) * draw(st.sampled_from([1e-9, 1e-3, 1.0, 1e3]))
     return g, OrthoRep(d, v, g)
+
+
+@st.composite
+def search_graphs(draw, n_max=16):
+    """Graphs of varied density, so both verdicts of each search occur."""
+    n = draw(st.integers(0, n_max))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.8]))
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
 
 
 def _outcome(fn):
@@ -320,3 +375,44 @@ def test_table_generator_matches_element_of_order(q):
             h = element_of_order(f, t)
             assert tab.element_of_order(t) == f.index(h)
             assert tab.subgroup(f.index(h), t).tolist() == [f.index(x) for x in subgroup(f, h, t)]
+
+
+@SETTINGS
+@given(search_graphs(), st.integers(2, 5))
+def test_codegree_search_matches_dfs_and_pair_loop(g, s):
+    assert contains_cycle(g, 4) == contains_cycle_dfs(g, 4)
+    assert contains_complete_bipartite(g, 2, s) == k2s_pair_loop(g, s)
+
+
+@SETTINGS
+@given(search_graphs())
+@example(empty_graph(0))
+@example(empty_graph(1))
+def test_adjacency_dense_matches_edge_loop(g):
+    a = adjacency_dense(g)
+    assert a.dtype == np.float64 and np.array_equal(a, adjacency_dense_loop(g))
+
+
+TILE_N = 13  # with 3 rows per tile: tiles 0-2, 3-5, 6-8, 9-11 and 12
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (1, 10), (11, 12)], ids=["one-tile", "two-tiles", "last-tile"])
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_codegree_tiles_find_biclique(monkeypatch, pair, s):
+    monkeypatch.setattr(graph_module, "BLOCK_ENTRIES", 3 * TILE_N)
+    # the pair's s common neighbours share only the pair, so only the pair reaches s
+    others = [w for w in range(TILE_N) if w not in pair][-s:]
+    g = from_edges(TILE_N, [(u, w) for u in pair for w in others])
+    assert contains_complete_bipartite(g, 2, s) and not contains_complete_bipartite(g, 2, s + 1)
+    assert contains_cycle(g, 4)
+
+
+def test_codegree_tiles_free_graphs(monkeypatch):
+    monkeypatch.setattr(graph_module, "BLOCK_ENTRIES", 3 * TILE_N)
+    star = from_edges(TILE_N, [(6, w) for w in range(TILE_N) if w != 6])  # degree 12, codegrees 1
+    for g in (star, polarity_graph(3)):
+        assert g.n == TILE_N
+        assert not contains_cycle(g, 4) and not contains_complete_bipartite(g, 2, 2)
+    fg = furedi_graph(5, 2).graph  # n = 12: K_{2,3}-free, but with 4-cycles
+    assert not contains_complete_bipartite(fg, 2, 3)
+    assert contains_complete_bipartite(fg, 2, 2) and contains_cycle(fg, 4)
