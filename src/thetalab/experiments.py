@@ -27,7 +27,6 @@ from .graph import (
     cycle_graph,
     empty_graph,
     from_edges,
-    induced_subgraph,
     layer_chromatic_check,
 )
 from .linalg import adjacency_dense, adjacency_sym, eigen_sym, sym_from_dense
@@ -44,7 +43,7 @@ from .ortho import (
     umbrella_rep,
     validate_rep,
 )
-from .theta import bound_formula_check, theta_sdp, theta_spectral_lower_of_complement
+from .theta import L_bounds, bound_formula_check, theta_sdp, theta_spectral_lower_of_complement
 
 SQRT5 = math.sqrt(5.0)
 
@@ -379,8 +378,7 @@ def _run_claim1_sandwich(seed: int):
     c5 = theta_sdp(cycle_graph(5), tol=1e-6)
     c5c = theta_sdp(complement(cycle_graph(5)), tol=1e-6)
     target = 5.0**0.75
-    lo = 5.0 / math.sqrt((c5.lower + c5.upper) / 2)
-    hi = math.sqrt(5.0 * (c5c.lower + c5c.upper) / 2)
+    lo, hi = L_bounds(cycle_graph(5), (c5.lower + c5.upper) / 2, (c5c.lower + c5c.upper) / 2)
     checks.append(_chk(
         "L_bounds", "for C5 the lower bound n/sqrt(theta) equals 5^(3/4)",
         target, lo, 1e-4, abs(lo - target) <= 1e-4))
@@ -395,7 +393,8 @@ def _run_claim1_sandwich(seed: int):
 
 
 # layer coloring: exhaustive labeled sweep over all graphs on <= 7 vertices,
-# vectorized 5-cycle filter, memoized exact 3-colorability per BFS layer
+# as array passes over the edge masks; each distinct layer subgraph is
+# coloured once
 
 
 def _edge_positions(n: int):
@@ -416,61 +415,63 @@ def _cycle_edge_masks(n: int, length: int):
     return sorted(masks)
 
 
-def _layers_3_colorable(n: int, adj, memo) -> bool:
+def _c5_free_masks(n: int) -> np.ndarray:
+    """Edge masks (bit k = k-th pair of _edge_positions) of the 5-cycle-free graphs on n vertices."""
+    all_g = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
+    has = np.zeros(len(all_g), dtype=bool)
+    for m in _cycle_edge_masks(n, 5):
+        mm = np.uint32(m)
+        has |= (all_g & mm) == mm
+    return all_g[~has]
+
+
+def _mask_graph(n: int, mask: int) -> Graph:
+    return from_edges(n, [p for k, p in enumerate(_edge_positions(n)) if mask >> k & 1])
+
+
+def _layer_edge_masks(n: int, graphs: np.ndarray):
+    """Per root, the edge masks induced by BFS layers A_1 and A_2 of every graph."""
+    nbr = np.zeros((n, len(graphs)), dtype=np.uint8)
+    sets = np.arange(1 << n)
+    inside = np.zeros(1 << n, dtype=graphs.dtype)  # edge mask of the pairs inside each vertex set
+    for k, (u, v) in enumerate(_edge_positions(n)):
+        bit = ((graphs >> k) & 1).astype(np.uint8)
+        nbr[u] |= bit << v
+        nbr[v] |= bit << u
+        pair = (1 << u) | (1 << v)
+        inside[(sets & pair) == pair] |= 1 << k
     for root in range(n):
-        seen = 1 << root
-        layer = 1 << root
-        for _ in range(2):
-            nxt = 0
-            m = layer
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                nxt |= adj[v]
-            nxt &= ~seen
-            if not nxt:
-                break
-            seen |= nxt
-            layer = nxt
-            if bin(layer).count("1") > 3:
-                verts = [v for v in range(n) if layer >> v & 1]
-                key = tuple(adj[v] & layer for v in verts)
-                ok = memo.get(key)
-                if ok is None:
-                    ok = chromatic_number_exact(induced_subgraph(Graph(n, tuple(adj)), verts)) <= 3
-                    memo[key] = ok
-                if not ok:
-                    return False
-    return True
+        a1 = nbr[root]
+        a2 = np.zeros_like(a1)
+        for v in range(n):
+            a2 |= nbr[v] * ((a1 >> v) & 1)
+        a2 &= ~(a1 | np.uint8(1 << root))
+        yield graphs & inside[a1]
+        yield graphs & inside[a2]
+
+
+def _layers_3_colorable(n: int, graphs: np.ndarray) -> np.ndarray:
+    """Per graph: whether every BFS layer A_i, i <= 2, of every root is 3-colourable."""
+    # two passes over the roots: all roots' masks at once would hold 2n words per graph
+    distinct = np.unique(np.concatenate([np.unique(m) for m in _layer_edge_masks(n, graphs)]))
+    bad = [m for m in distinct.tolist() if chromatic_number_exact(_mask_graph(n, m)) > 3]
+    bad = np.array(bad, dtype=graphs.dtype)
+    ok = np.ones(len(graphs), dtype=bool)
+    for m in _layer_edge_masks(n, graphs):
+        ok &= ~np.isin(m, bad)
+    return ok
 
 
 def _run_layer_coloring(seed: int):
     checks = []
     cross_agree = cross_total = 0
     for n in range(1, 8):
-        e = n * (n - 1) // 2
-        all_g = np.arange(1 << e, dtype=np.uint32)
-        has = np.zeros(1 << e, dtype=bool)
-        for m in _cycle_edge_masks(n, 5):
-            mm = np.uint32(m)
-            has |= (all_g & mm) == mm
-        free = all_g[~has]
-        pos = _edge_positions(n)
-        memo: dict = {}
-        violations = 0
-        for idx, gmask in enumerate(free):
-            gmask = int(gmask)
-            adj = [0] * n
-            for k, (u, v) in enumerate(pos):
-                if gmask >> k & 1:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-            ok = _layers_3_colorable(n, adj, memo)
-            violations += not ok
-            if idx % 20000 == 0:  # spot-check the fast path against the library op
-                g = from_edges(n, [pos[k] for k in range(e) if gmask >> k & 1])
-                cross_total += 1
-                cross_agree += layer_chromatic_check(g, 5).ok == ok
+        free = _c5_free_masks(n)
+        ok = _layers_3_colorable(n, free)
+        violations = int(np.count_nonzero(~ok))
+        for idx in range(0, len(free), 20000):  # spot-check the sweep against the library op
+            cross_total += 1
+            cross_agree += layer_chromatic_check(_mask_graph(n, int(free[idx])), 5).ok == bool(ok[idx])
         checks.append(_chk(
             "layer_chromatic_check",
             f"chi(layer) <= 3 for every BFS layer A_i, i <= 2, of every 5-cycle-free graph on {n} vertices",

@@ -204,22 +204,7 @@ class FieldSpec:
     def inv(self, a: FieldElement) -> FieldElement:
         if self.is_zero(a):
             raise DivisionByZero("inverse of zero")
-        if self.alpha == 1:
-            return FieldElement((pow(a.coeffs[0], self.p - 2, self.p),))
-        # extended Euclid in GF(p)[x]: r0 = modulus, r1 = a
-        p = self.p
-        r0, r1 = list(self.modulus), _poly_trim(list(a.coeffs))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _poly_divmod_(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub_(s0, _poly_mul(q, s1, p), p)
-        # r0 is now a nonzero constant gcd; scale s0 by its inverse
-        c_inv = pow(r0[0], p - 2, p)
-        out = [(c_inv * c) % p for c in s0]
-        out = _poly_mod(out, list(self.modulus), p)
-        out += [0] * (self.alpha - len(out))
-        return FieldElement(tuple(out))
+        return self.pow(a, self.q - 2)  # a^(q-1) = 1 in GF(q)
 
     def pow(self, a: FieldElement, k: int) -> FieldElement:
         if k < 0:
@@ -232,28 +217,6 @@ class FieldSpec:
             base = self.mul(base, base)
             k >>= 1
         return out
-
-
-def _poly_divmod_(a, b, p):
-    """Quotient and remainder of a by b over GF(p); b nonzero."""
-    a = list(a)
-    q = [0] * max(1, len(a) - len(b) + 1)
-    b_lead_inv = pow(b[-1], p - 2, p)
-    while a and len(a) >= len(b):
-        shift = len(a) - len(b)
-        c = (a[-1] * b_lead_inv) % p
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _poly_trim(a)
-    return _poly_trim(q), a
-
-
-def _poly_sub_(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
 
 
 def field_create(p: int, alpha: int = 1) -> FieldSpec:

@@ -485,6 +485,8 @@ def json_int(value, what: str) -> int:
 
 
 def graph_from_json(obj: dict) -> Graph:
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     edges = [(json_int(u, "edge endpoint"), json_int(v, "edge endpoint")) for u, v in obj.get("edges", [])]
     return from_edges(json_int(obj["n"], "n"), edges, obj.get("labels"))
 
@@ -500,6 +502,8 @@ def graph_from_text(text: str) -> Graph:
     if not lines:
         raise ValueError("empty edge-list text")
     head = lines[0].split()
+    if len(head) < 2:
+        raise ValueError(f"edge-list header must be 'n m', got {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
     edges = []
     for ln in lines[1 : m + 1]:

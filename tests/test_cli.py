@@ -215,6 +215,8 @@ def test_refused_inputs_exit_two(tmp_path, capsys, args, needle):
     ({"n": 3, "edges": [[0.9, 2.7]]}, "edge endpoint must be an integer, got 0.9"),
     ({"n": 3, "edges": [[0, 2.0]]}, "edge endpoint must be an integer, got 2.0"),
     ({"n": 3, "edges": [[False, 2]]}, "edge endpoint must be an integer, got False"),
+    ([1, 2], "expected a JSON object, got list"),
+    ("abc", "expected a JSON object, got str"),
 ])
 def test_non_integer_graph_json_exits_two(tmp_path, capsys, obj, needle):
     path = tmp_path / "g.json"
@@ -233,6 +235,16 @@ def test_non_integer_rep_dimension_exits_two(tmp_path, capsys, d, needle):
     code, out, err = run(capsys, ["rep", "validate", "--file", str(path)])
     assert code == 2 and out == ""
     assert f"{path} is not a representation file: d must be an integer, {needle}" in err
+
+
+def test_rep_with_non_object_graph_exits_two(tmp_path, capsys):
+    obj = rep_to_json(umbrella_rep(False))
+    obj["graph"] = [5, [[0, 1]]]
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["rep", "validate", "--file", str(path)])
+    assert code == 2 and out == ""
+    assert f"{path} is not a representation file: expected a JSON object, got list" in err
 
 
 def test_unwritable_out_exits_two(tmp_path, capsys):

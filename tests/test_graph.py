@@ -339,3 +339,8 @@ def test_text_roundtrip():
     assert text.splitlines()[0] == "5 5"
     g2 = graph_from_text(text)
     assert g2 == from_edges(5, g.edges())
+
+
+def test_text_header_without_edge_count_is_value_error():
+    with pytest.raises(ValueError, match="header must be 'n m'"):
+        graph_from_text("3\n")

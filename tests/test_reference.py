@@ -4,8 +4,9 @@ The references are O(n^2) Python loops for the certificate checks, the
 path DFS and the pair loop for the 4-cycle and K_{2,s} searches, one
 eigendecomposition per derived quantity for the trace certificates, a
 full rebuild per candidate edge for the cycle-free generator, the
-per-pair FieldSpec arithmetic for the finite-field constructions, and an
-edge loop for the dense adjacency matrix.  Both sides perform the same
+per-pair FieldSpec arithmetic for the finite-field constructions, an
+edge loop for the dense adjacency matrix, and a per-graph bitset BFS for
+the layer-colouring sweep.  Both sides perform the same
 floating-point operations, so every comparison is exact equality, not a
 tolerance.
 """
@@ -18,9 +19,18 @@ from hypothesis import strategies as st
 from thetalab import graph as graph_module
 from thetalab.constructions import furedi_graph, polarity_graph, polarity_graph_with_loops
 from thetalab.errors import PreconditionViolated
-from thetalab.experiments import _cycle_free_graph
+from thetalab.experiments import _cycle_free_graph, _edge_positions, _layers_3_colorable
 from thetalab.ffield import element_of_order, field_from_order, field_tables, prime_factors, subgroup
-from thetalab.graph import _bits, contains_complete_bipartite, contains_cycle, empty_graph, from_edges
+from thetalab.graph import (
+    Graph,
+    _bits,
+    chromatic_number_exact,
+    contains_complete_bipartite,
+    contains_cycle,
+    empty_graph,
+    from_edges,
+    induced_subgraph,
+)
 from thetalab.linalg import adjacency_dense, eigen_sym, eigh_dense, sym_from_dense
 from thetalab.ortho import (
     OrthoRep,
@@ -200,6 +210,35 @@ def adjacency_dense_loop(g):
     for u, v in g.edges():
         a[u, v] = a[v, u] = 1.0
     return a
+
+
+def layers_3_colorable_loop(n, adj, memo):
+    """Per-graph BFS over bitsets; each layer of > 3 vertices coloured once per induced shape."""
+    for root in range(n):
+        seen = 1 << root
+        layer = 1 << root
+        for _ in range(2):
+            nxt = 0
+            m = layer
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                nxt |= adj[v]
+            nxt &= ~seen
+            if not nxt:
+                break
+            seen |= nxt
+            layer = nxt
+            if bin(layer).count("1") > 3:
+                verts = [v for v in range(n) if layer >> v & 1]
+                key = tuple(adj[v] & layer for v in verts)
+                ok = memo.get(key)
+                if ok is None:
+                    ok = chromatic_number_exact(induced_subgraph(Graph(n, tuple(adj)), verts)) <= 3
+                    memo[key] = ok
+                if not ok:
+                    return False
+    return True
 
 
 def _prime_powers(q_max):
@@ -416,3 +455,32 @@ def test_codegree_tiles_free_graphs(monkeypatch):
     fg = furedi_graph(5, 2).graph  # n = 12: K_{2,3}-free, but with 4-cycles
     assert not contains_complete_bipartite(fg, 2, 3)
     assert contains_complete_bipartite(fg, 2, 2) and contains_cycle(fg, 4)
+
+
+def test_layer_sweep_matches_per_graph_bfs():
+    # every labelled graph on <= 6 vertices, 5-cycles included, so both verdicts occur
+    violations = {}
+    for n in range(1, 7):
+        graphs = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
+        memo = {}
+        expected = []
+        for gmask in graphs.tolist():
+            adj = [0] * n
+            for k, (u, v) in enumerate(_edge_positions(n)):
+                if gmask >> k & 1:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+            expected.append(layers_3_colorable_loop(n, adj, memo))
+        assert _layers_3_colorable(n, graphs).tolist() == expected
+        violations[n] = expected.count(False)
+    assert violations == {1: 0, 2: 0, 3: 0, 4: 0, 5: 1, 6: 172}
+
+
+def test_layer_sweep_sees_a_bad_second_layer():
+    # root 0, A_1 = {1, 2}, A_2 = K4 on {3, 4, 5, 6}; vertex 1 sees 3, 4 and vertex 2 sees 5, 6,
+    # so every A_1 layer is 3-colourable and only A_2 of root 0 is not (n <= 6 has no such graph)
+    g = from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)])
+    mask = sum(1 << k for k, (u, v) in enumerate(_edge_positions(7)) if g.has_edge(u, v))
+    assert all(chromatic_number_exact(induced_subgraph(g, g.neighbors(v))) <= 3 for v in range(7))
+    assert not layers_3_colorable_loop(7, list(g.adj), {})
+    assert _layers_3_colorable(7, np.array([mask], dtype=np.uint32)).tolist() == [False]
