@@ -29,7 +29,7 @@ from .graph import (
     from_edges,
     layer_chromatic_check,
 )
-from .linalg import adjacency_dense, adjacency_sym, eigen_sym, sym_from_dense
+from .linalg import adjacency_dense, adjacency_sym, eigvals_sym, sym_from_dense
 from .ortho import (
     basis_rep_from_clique_cover,
     gram,
@@ -155,7 +155,7 @@ def _run_furedi_spectral(seed: int):
         checks.append(_chk(
             "furedi_square_identity", f"{tag}: Q has (q-1-t)/t ones per row",
             rep.expected_row_sum, sorted(rows), 0.0, rows == {rep.expected_row_sum}))
-        lam = eigen_sym(adjacency_sym(g)).eigenvalues
+        lam = eigvals_sym(adjacency_sym(g)).eigenvalues
         nontrivial = max(abs(lam[1]), abs(lam[-1]))
         bound = math.sqrt(2 * q - 2 * t - 1) + 1.0
         checks.append(_chk(
@@ -174,7 +174,7 @@ def _run_furedi_spectral(seed: int):
             a = adjacency_dense(g)
             loops = list(fg.loops_removed)
             a[loops, loops] = 1.0
-            vals = eigen_sym(sym_from_dense(a)).eigenvalues
+            vals = eigvals_sym(sym_from_dense(a)).eigenvalues
             loopful = 1.0 - vals[0] / vals[-1]
             checks.append(_chk(
                 "theta_spectral_lower_of_complement",
@@ -200,7 +200,7 @@ def _run_polarity_c4(seed: int):
         checks.append(_chk(
             "degrees", f"{tag}: degrees in (q, q+1) with exactly q+1 vertices of degree q",
             q + 1, low_count, 0.0, ok))
-        lam = eigen_sym(adjacency_sym(g)).eigenvalues
+        lam = eigvals_sym(adjacency_sym(g)).eigenvalues
         nontrivial = max(abs(lam[1]), abs(lam[-1]))
         checks.append(_chk(
             "eigen_sym", f"{tag}: nontrivial |lambda| <= sqrt(q) + 1",

@@ -502,13 +502,15 @@ def graph_from_text(text: str) -> Graph:
     if not lines:
         raise ValueError("empty edge-list text")
     head = lines[0].split()
-    if len(head) < 2:
+    if len(head) != 2:
         raise ValueError(f"edge-list header must be 'n m', got {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
+    if len(lines) - 1 != m:
+        raise ValueError(f"header promises {m} edges, found {len(lines) - 1} edge lines")
     edges = []
-    for ln in lines[1 : m + 1]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
-    if len(edges) != m:
-        raise ValueError(f"header promises {m} edges, found {len(edges)}")
+    for ln in lines[1:]:
+        ends = ln.split()
+        if len(ends) != 2:
+            raise ValueError(f"edge line must be 'u v', got {ln!r}")
+        edges.append((int(ends[0]), int(ends[1])))
     return from_edges(n, edges)

@@ -1,10 +1,16 @@
-"""Dense symmetric linear algebra: an in-house full eigendecomposition
+"""Dense symmetric linear algebra: an in-house eigendecomposition
 (Householder tridiagonalization + implicit-shift QL), trace powers,
 numeric rank, and PSD projection.
 
 numpy supplies array storage and BLAS-level products only; the
 eigensolver itself is local so results are reproducible across
-environments with no LAPACK dependence.
+environments with no LAPACK dependence.  The QL recurrence runs on
+Python floats and records its rotations; they are applied to the
+eigenvectors a wavefront level at a time, and every result is
+bit-identical to rotating one column pair at a time.  A values-only
+call (eigh_dense(a, vectors=False), eigvals_sym) skips the Householder
+and rotation work on the eigenvectors, which never feeds back into the
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from .errors import ConvergenceFailure
 from .graph import Graph, adjacency_rows
 
-_EPS = np.finfo(np.float64).eps
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,11 +73,11 @@ def adjacency_sym(g: Graph) -> SymMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Full eigendecomposition, eigenvalues descending."""
+    """Eigendecomposition, eigenvalues descending; eigvals_sym leaves out the rest."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None  # orthonormal columns, aligned with eigenvalues
-    residual: float  # max_i ||A v_i - lambda_i v_i||
+    residual: float | None  # max_i ||A v_i - lambda_i v_i||
 
     def power_sum(self, k: int) -> float:
         """tr(M^k) = sum of lambda_i^k."""
@@ -95,15 +101,22 @@ class Spectrum:
 # eigensolver
 # ---------------------------------------------------------------------------
 
+# QL rotations recorded per matrix row before they are applied to the
+# eigenvectors, which keeps the record O(n)
+_FLUSH_PER_ROW = 64
 
-def _tridiagonalize(a: np.ndarray):
-    """Householder reduction A = Q T Q^T; returns (diag, subdiag, Q)."""
+
+def _tridiagonalize(a: np.ndarray, vectors: bool):
+    """Householder reduction A = Q T Q^T; returns (diag, subdiag, Q or None).
+
+    The diagonals are Python float lists; the subdiagonal has a trailing 0.
+    """
     n = a.shape[0]
     a = a.copy()
-    q = np.eye(n)
+    q = np.eye(n) if vectors else None
     for k in range(n - 2):
         x = a[k + 1 :, k].copy()
-        alpha = float(np.linalg.norm(x))
+        alpha = math.sqrt(x.dot(x))  # np.linalg.norm's own sum
         if alpha == 0.0:
             continue
         if x[0] > 0:
@@ -117,22 +130,58 @@ def _tridiagonalize(a: np.ndarray):
         sub = a[k + 1 :, k + 1 :]
         p = beta * (sub @ v)
         w = p - (beta * float(p @ v) / 2.0) * v
-        sub -= np.outer(v, w) + np.outer(w, v)
-        a[k + 1, k] = a[k, k + 1] = alpha
-        a[k + 2 :, k] = 0.0
-        a[k, k + 2 :] = 0.0
-        qc = q[:, k + 1 :]
-        qc -= np.outer(qc @ v, beta * v)
-    d = np.diag(a).copy()
-    e = np.zeros(n)
-    if n > 1:
-        e[: n - 1] = np.diag(a, -1)
-    return d, e, q
+        vw = v[:, None] * w
+        sub -= vw + vw.T
+        a[k + 1, k] = alpha
+        if vectors:
+            qc = q[:, k + 1 :]
+            qc -= (qc @ v)[:, None] * (beta * v)
+    return a.diagonal().tolist(), a.diagonal(-1).tolist() + [0.0], q
 
 
-def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray, iter_cap: int):
-    """Implicit-shift QL on a tridiagonal (d, e); rotations accumulate into z."""
+def _apply_levels(zt: np.ndarray, rot_i: list, rot_c: list, rot_s: list, rot_level: list) -> None:
+    """Apply recorded rotations to the rows of zt, one wavefront level at a time.
+
+    The rotations of one level act on disjoint row pairs (i, i+1), and each
+    sits one level above every earlier rotation on either of its rows, so
+    every entry sees the same products in the same order as rotating one
+    pair at a time.  A level is one update of its rows: row i takes
+    c*z_i + (-s)*z_(i+1) and row i+1 takes c*z_(i+1) + s*z_i, which round
+    exactly as c*z_i - s*z_(i+1) and s*z_i + c*z_(i+1).  Empties the record.
+    """
+    level = np.array(rot_level)
+    order = np.argsort(level, kind="stable")
+    rows = np.array(rot_i)[order]
+    c = np.array(rot_c)[order]
+    s = np.array(rot_s)[order]
+    for record in (rot_i, rot_c, rot_s, rot_level):
+        record.clear()
+    # rotation k owns rows 2k and 2k+1 of the update
+    pairs = np.stack((rows, rows + 1), axis=1)
+    dest, src = pairs.ravel(), pairs[:, ::-1].ravel()
+    cc = np.repeat(c, 2)[:, None]
+    ss = np.stack((-s, s), axis=1).reshape(-1, 1)
+    stops = np.append(np.flatnonzero(np.diff(level[order])) + 1, len(order))
+    lo = 0
+    for hi in (2 * stops).tolist():
+        block = dest[lo:hi]
+        zt[block] = cc[lo:hi] * zt.take(block, 0) + ss[lo:hi] * zt.take(src[lo:hi], 0)
+        lo = hi
+
+
+def _ql_implicit(d: list, e: list, zt: np.ndarray | None, iter_cap: int) -> int:
+    """Implicit-shift QL on a tridiagonal (d, e) of Python floats, in place.
+
+    Each rotation (i, c, s) also rotates rows i, i+1 of zt, the eigenvector
+    matrix transposed, when zt is given; the rotations are recorded and
+    applied by _apply_levels.  Returns the number of sweeps.
+    """
     n = len(d)
+    hypot, copysign = math.hypot, math.copysign
+    record = zt is not None
+    rot_i, rot_c, rot_s, rot_level = [], [], [], []
+    last = [0] * n  # level of the latest recorded rotation on each row
+    flush_at = _FLUSH_PER_ROW * n
     total = 0
     for l in range(n):
         while True:
@@ -148,15 +197,15 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray, iter_cap: int):
             if total > iter_cap:
                 raise ConvergenceFailure(f"QL iteration cap {iter_cap} exceeded")
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            r = hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + copysign(r, g))
             s = c = 1.0
             p = 0.0
             underflow = False
             for i in range(m - 1, l - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
-                r = math.hypot(f, g)
+                r = hypot(f, g)
                 e[i + 1] = r
                 if r == 0.0:
                     d[i + 1] -= p
@@ -170,29 +219,48 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray, iter_cap: int):
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                col = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col
-                z[:, i] = c * z[:, i] - s * col
+                if record:
+                    lv = last[i]
+                    if last[i + 1] > lv:
+                        lv = last[i + 1]
+                    lv += 1
+                    last[i] = last[i + 1] = lv
+                    rot_i.append(i)
+                    rot_c.append(c)
+                    rot_s.append(s)
+                    rot_level.append(lv)
+            if record and len(rot_i) >= flush_at:
+                _apply_levels(zt, rot_i, rot_c, rot_s, rot_level)
             if underflow:
                 continue
             d[l] -= p
             e[l] = g
             e[m] = 0.0
+    if record and rot_i:
+        _apply_levels(zt, rot_i, rot_c, rot_s, rot_level)
+    return total
 
 
-def eigh_dense(a: np.ndarray):
+def eigh_dense(a: np.ndarray, vectors: bool = True):
     """Eigendecomposition of a dense symmetric array.
 
-    Returns (eigenvalues descending, eigenvector columns).
+    Returns (eigenvalues descending, eigenvector columns), or
+    (eigenvalues, None) when vectors is False; the eigenvalues do not
+    depend on it.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
     if n == 1:
-        return a[0, :1].copy(), np.ones((1, 1))
-    d, e, z = _tridiagonalize(a)
-    _ql_implicit(d, e, z, iter_cap=30 * n)
-    order = np.argsort(-d, kind="stable")
-    return d[order], z[:, order]
+        return a[0, :1].copy(), (np.ones((1, 1)) if vectors else None)
+    d, e, q = _tridiagonalize(a, vectors)
+    zt = q.T.copy() if vectors else None
+    _ql_implicit(d, e, zt, iter_cap=30 * n)
+    vals = np.array(d)
+    order = np.argsort(-vals, kind="stable")
+    if not vectors:
+        return vals[order], None
+    # Fortran order, as z[:, order] gives; later BLAS products depend on the layout
+    return vals[order], zt[order].T
 
 
 def eigen_sym(m: SymMatrix) -> Spectrum:
@@ -205,6 +273,13 @@ def eigen_sym(m: SymMatrix) -> Spectrum:
     return Spectrum(vals, vecs, resid)
 
 
+def eigvals_sym(m: SymMatrix) -> Spectrum:
+    """Eigenvalues only, descending; eigenvectors and residual are None."""
+    if m.n < 1:
+        raise ValueError("need n >= 1")
+    return Spectrum(eigh_dense(m.dense(), vectors=False)[0], None, None)
+
+
 # ---------------------------------------------------------------------------
 # derived quantities
 # ---------------------------------------------------------------------------
@@ -212,12 +287,12 @@ def eigen_sym(m: SymMatrix) -> Spectrum:
 
 def trace_power(m: SymMatrix, k: int) -> float:
     """tr(M^k) = sum of lambda_i^k, from the spectrum."""
-    return eigen_sym(m).power_sum(k)
+    return eigvals_sym(m).power_sum(k)
 
 
 def numeric_rank(m: SymMatrix, tol: float | None = None) -> int:
     """Count of eigenvalues with |lambda| above tol; see Spectrum.rank."""
-    return eigen_sym(m).rank(tol)
+    return eigvals_sym(m).rank(tol)
 
 
 def psd_project_dense(a: np.ndarray) -> np.ndarray:

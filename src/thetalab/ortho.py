@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedPattern,
 )
 from .graph import Graph, complement, contains_clique, contains_cycle, cycle_graph, graph_from_json, graph_to_json, json_int, parse_pattern
-from .linalg import SymMatrix, adjacency_dense, eigen_sym, sym_from_dense, trace_power
+from .linalg import SymMatrix, adjacency_dense, eigvals_sym, sym_from_dense, trace_power
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +204,7 @@ def schnirelmann_check(m: SymMatrix) -> SchnirelmannReport:
     """tr(M)^2 <= rank(M) * tr(M^2), with slack reported."""
     tr = float(np.trace(m.dense()))
     lhs = tr * tr
-    spec = eigen_sym(m)
+    spec = eigvals_sym(m)
     rank = spec.rank()
     rhs = rank * spec.power_sum(2)
     scale = max(1.0, abs(lhs), abs(rhs))
@@ -305,7 +305,7 @@ def trace_power_certificate(rep: OrthoRep, g: Graph, t: int, parity: str) -> Tra
     check = validate_rep(rep, g)
     if not check.ok:
         raise PreconditionViolated(f"rep residual {check.max_residual} exceeds tolerance")
-    spec = eigen_sym(gram(rep))
+    spec = eigvals_sym(gram(rep))
     tv = spec.power_sum(power)
     scale = max(1.0, bound)
     trace_ok = tv <= bound + 1e-8 * scale

@@ -30,7 +30,7 @@ from .errors import (
     RepInvalid,
 )
 from .graph import Graph, complement, contains_cycle
-from .linalg import SymMatrix, adjacency_dense, adjacency_sym, eigen_sym, eigh_dense, psd_project_dense, sym_from_dense
+from .linalg import SymMatrix, adjacency_dense, adjacency_sym, eigh_dense, eigvals_sym, psd_project_dense, sym_from_dense
 from .ortho import OrthoRep, validate_rep
 
 DEFAULT_ITERATION_CAP = 50_000
@@ -80,12 +80,12 @@ class ThetaResult:
         worst_pattern = float(np.max(np.abs(x[edge]))) if edge.any() else 0.0
         if worst_pattern > 1e-8:
             raise PreconditionViolated(f"primal certificate edge residual {worst_pattern}")
-        vals, _ = eigh_dense(x)
+        vals, _ = eigh_dense(x, vectors=False)
         if float(vals[-1]) < -1e-8:
             raise PreconditionViolated(f"primal certificate eigenvalue {float(vals[-1])}")
         if abs(float(x.sum()) - self.lower) > 1e-8 * max(1.0, abs(self.lower)):
             raise PreconditionViolated("lower bound does not match primal certificate")
-        bvals, _ = eigh_dense(b)
+        bvals, _ = eigh_dense(b, vectors=False)
         if abs(float(bvals[0]) - self.upper) > 1e-8 * max(1.0, abs(self.upper)):
             raise PreconditionViolated("upper bound does not match dual certificate")
         if self.gap < -1e-9 or abs(self.gap - (self.upper - self.lower)) > 1e-12:
@@ -128,7 +128,7 @@ def theta_sdp(g: Graph, tol: float = 1e-6, iteration_cap: int = DEFAULT_ITERATIO
         # absorb any negative eigenvalue by mixing toward I/n; the mix
         # keeps the zero pattern and unit trace exactly
         xc = (xc + xc.T) / 2.0  # edge entries are 0 in both triangles
-        vals, _ = eigh_dense(xc)
+        vals, _ = eigh_dense(xc, vectors=False)
         lam_min = float(vals[-1])
         if lam_min < 0.0:
             shift = -lam_min
@@ -210,7 +210,7 @@ def theta_spectral_lower_of_complement(g: Graph) -> float:
     """1 - lambda_1/lambda_n of g's adjacency: a lower bound for the complement's theta."""
     if g.edge_count() == 0:
         raise NoEdges("spectral bound needs at least one edge")
-    spec = eigen_sym(adjacency_sym(g))
+    spec = eigvals_sym(adjacency_sym(g))
     lam_1 = float(spec.eigenvalues[0])
     lam_n = float(spec.eigenvalues[-1])
     return 1.0 - lam_1 / lam_n

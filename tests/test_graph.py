@@ -4,12 +4,15 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetalab.errors import (
     ComplexityRefused,
     IndexOutOfRange,
     LoopRejected,
     PreconditionViolated,
+    ThetalabError,
     UnsupportedPattern,
 )
 from thetalab.graph import (
@@ -344,3 +347,47 @@ def test_text_roundtrip():
 def test_text_header_without_edge_count_is_value_error():
     with pytest.raises(ValueError, match="header must be 'n m'"):
         graph_from_text("3\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 1 junk\n0 1\n", "header must be 'n m'"),
+    ("3 1\n0 1\n1 2\n", "header promises 1 edges, found 2 edge lines"),
+    ("3 2\n0 1\n", "header promises 2 edges, found 1 edge lines"),
+    ("3 1\n0 1 2\n", "edge line must be 'u v', got '0 1 2'"),
+    ("3 1\n0\n", "edge line must be 'u v', got '0'"),
+])
+def test_text_rejects_unexpected_input(text, message):
+    with pytest.raises(ValueError, match=message):
+        graph_from_text(text)
+
+
+_TOKENS = st.one_of(st.integers(-2, 9).map(str),
+                    st.sampled_from(["junk", "1.5", "0x1", "1_0", "+2", "-0", "\u0663", "1e1", "nan", "\x00"]))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Near-valid edge lists: small vertex ids, a count off by at most one, stray tokens."""
+    n = draw(st.integers(-1, 8))
+    ids = st.integers(-1, max(n, 0))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=6))
+    lines = [f"{n} {len(pairs) + draw(st.sampled_from([0, 0, 0, -1, 1]))}"] + [f"{u} {v}" for u, v in pairs]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = " ".join(draw(st.lists(_TOKENS, max_size=4)))
+    return draw(st.sampled_from(["\n", "\r\n", "\n \n"])).join(lines)
+
+
+# free text without decimal digits, so no header asks for a huge vertex count
+_FREE_TEXT = st.text(st.characters(blacklist_categories=("Nd",)), max_size=20)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(edge_list_texts(), _FREE_TEXT))
+def test_text_loader_fuzz(text):
+    try:
+        g = graph_from_text(text)
+    except (ValueError, ThetalabError):
+        return
+    assert isinstance(g, Graph)
+    assert graph_from_text(graph_to_text(g)) == g

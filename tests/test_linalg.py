@@ -3,17 +3,23 @@
 numpy.linalg.eigh serves as the independent oracle for the in-house solver.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from thetalab import linalg
+from thetalab.errors import ConvergenceFailure
 from thetalab.graph import complete_graph, cycle_graph
 from thetalab.linalg import (
     Spectrum,
     SymMatrix,
+    _ql_implicit,
     adjacency_dense,
     adjacency_sym,
     eigen_sym,
     eigh_dense,
+    eigvals_sym,
     numeric_rank,
     psd_project,
     sym_from_dense,
@@ -128,6 +134,59 @@ def test_trace_identities():
         scale = max(1.0, np.abs(a).max() * n)
         assert abs(np.sum(spec.eigenvalues) - np.trace(a)) <= 1e-8 * scale
         assert abs(np.sum(spec.eigenvalues**2) - np.trace(a @ a)) <= 1e-8 * scale**2
+
+
+def test_values_only_spectrum():
+    a = random_sym(9, np.random.default_rng(10))
+    spec = eigvals_sym(sym_from_dense(a))
+    assert spec.eigenvectors is None and spec.residual is None
+    assert np.array_equal(spec.eigenvalues, eigen_sym(sym_from_dense(a)).eigenvalues)
+    with pytest.raises(ValueError):
+        eigvals_sym(sym_from_dense(np.zeros((0, 0))))
+
+
+def test_ql_cap_zero_raises_on_a_coupled_pair():
+    for zt in (None, np.eye(2)):
+        with pytest.raises(ConvergenceFailure, match="cap 0"):
+            _ql_implicit([1.0, 2.0], [1.0, 0.0], zt, iter_cap=0)
+
+
+def test_eigh_counts_sweeps_against_30n(monkeypatch):
+    calls = []
+
+    def spy(d, e, zt, iter_cap):
+        start = (list(d), list(e))
+        sweeps = _ql_implicit(d, e, zt, iter_cap)
+        calls.append((len(d), iter_cap, sweeps, start))
+        return sweeps
+
+    monkeypatch.setattr(linalg, "_ql_implicit", spy)
+    rng = np.random.default_rng(11)
+    for n in (2, 7, 20):
+        a = random_sym(n, rng)
+        eigh_dense(a)
+        eigh_dense(a, vectors=False)
+    assert [c[0] for c in calls] == [2, 2, 7, 7, 20, 20]
+    for n, cap, sweeps, (d, e) in calls:
+        assert cap == 30 * n and 1 <= sweeps <= cap
+        # the cap bounds exactly the sweeps counted
+        assert _ql_implicit(list(d), list(e), None, sweeps) == sweeps
+        with pytest.raises(ConvergenceFailure):
+            _ql_implicit(list(d), list(e), None, sweeps - 1)
+
+
+def test_eigh_rotation_record_stays_small():
+    # the rotation record is applied every 64 n rotations; kept whole for
+    # this matrix it peaks at 17.6 MB, and the solver that rotates one
+    # column pair at a time peaks at 3.0 MB: allow twice that
+    a = random_sym(300, np.random.default_rng(12))
+    tracemalloc.start()
+    try:
+        eigh_dense(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.0e6
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ path DFS and the pair loop for the 4-cycle and K_{2,s} searches, one
 eigendecomposition per derived quantity for the trace certificates, a
 full rebuild per candidate edge for the cycle-free generator, the
 per-pair FieldSpec arithmetic for the finite-field constructions, an
-edge loop for the dense adjacency matrix, and a per-graph bitset BFS for
-the layer-colouring sweep.  Both sides perform the same
-floating-point operations, so every comparison is exact equality, not a
-tolerance.
+edge loop for the dense adjacency matrix, a per-graph bitset BFS for
+the layer-colouring sweep, and the QL eigensolver on numpy scalars that
+rotates one eigenvector column pair at a time.  Both sides perform the
+same floating-point operations, so every comparison is exact equality,
+not a tolerance.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -17,8 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetalab import graph as graph_module
+from thetalab import linalg as linalg_module
 from thetalab.constructions import furedi_graph, polarity_graph, polarity_graph_with_loops
-from thetalab.errors import PreconditionViolated
+from thetalab.errors import ConvergenceFailure, PreconditionViolated
 from thetalab.experiments import _cycle_free_graph, _edge_positions, _layers_3_colorable
 from thetalab.ffield import element_of_order, field_from_order, field_tables, prime_factors, subgroup
 from thetalab.graph import (
@@ -241,6 +245,108 @@ def layers_3_colorable_loop(n, adj, memo):
     return True
 
 
+_EPS = np.finfo(np.float64).eps
+
+
+def tridiagonalize_columns(a):
+    """Householder reduction A = Q T Q^T; returns (diag, subdiag, Q)."""
+    n = a.shape[0]
+    a = a.copy()
+    q = np.eye(n)
+    for k in range(n - 2):
+        x = a[k + 1 :, k].copy()
+        alpha = float(np.linalg.norm(x))
+        if alpha == 0.0:
+            continue
+        if x[0] > 0:
+            alpha = -alpha
+        v = x
+        v[0] -= alpha
+        vnorm2 = float(v @ v)
+        if vnorm2 == 0.0:
+            continue
+        beta = 2.0 / vnorm2
+        sub = a[k + 1 :, k + 1 :]
+        p = beta * (sub @ v)
+        w = p - (beta * float(p @ v) / 2.0) * v
+        sub -= np.outer(v, w) + np.outer(w, v)
+        a[k + 1, k] = a[k, k + 1] = alpha
+        a[k + 2 :, k] = 0.0
+        a[k, k + 2 :] = 0.0
+        qc = q[:, k + 1 :]
+        qc -= np.outer(qc @ v, beta * v)
+    d = np.diag(a).copy()
+    e = np.zeros(n)
+    if n > 1:
+        e[: n - 1] = np.diag(a, -1)
+    return d, e, q
+
+
+def ql_implicit_columns(d, e, z, iter_cap):
+    """Implicit-shift QL on numpy scalars; each rotation updates two columns of z."""
+    n = len(d)
+    total = 0
+    for l in range(n):
+        while True:
+            m = l
+            while m < n - 1:
+                dd = abs(d[m]) + abs(d[m + 1])
+                if abs(e[m]) <= _EPS * dd:
+                    break
+                m += 1
+            if m == l:
+                break
+            total += 1
+            if total > iter_cap:
+                raise ConvergenceFailure(f"QL iteration cap {iter_cap} exceeded")
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            underflow = False
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    underflow = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                col = z[:, i + 1].copy()
+                z[:, i + 1] = s * z[:, i] + c * col
+                z[:, i] = c * z[:, i] - s * col
+            if underflow:
+                continue
+            d[l] -= p
+            e[l] = g
+            e[m] = 0.0
+
+
+def eigh_dense_columns(a):
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    if n == 1:
+        return a[0, :1].copy(), np.ones((1, 1))
+    d, e, z = tridiagonalize_columns(a)
+    ql_implicit_columns(d, e, z, iter_cap=30 * n)
+    order = np.argsort(-d, kind="stable")
+    return d[order], z[:, order]
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def _prime_powers(q_max):
     return [q for q in range(2, q_max + 1) if len(prime_factors(q)) == 1]
 
@@ -277,6 +383,30 @@ def search_graphs(draw, n_max=16):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.8]))
     return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+
+
+@st.composite
+def sym_matrices(draw, n_max=24):
+    """Symmetric matrices of six kinds; adjacency, all-ones and integer
+    diagonals have repeated eigenvalues, and diagonals need no QL sweep."""
+    n = draw(st.integers(1, n_max))
+    kind = draw(st.sampled_from(["gaussian", "integer", "adjacency", "ones", "diagonal", "tridiagonal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        a = rng.standard_normal((n, n)) * draw(st.sampled_from([1e-6, 1.0, 1e6]))
+        return (a + a.T) / 2.0
+    if kind == "integer":
+        a = rng.integers(-4, 5, (n, n)).astype(float)
+        return a + a.T
+    if kind == "adjacency":
+        a = np.triu(rng.random((n, n)) < draw(st.sampled_from([0.2, 0.5, 0.8])), 1).astype(float)
+        return a + a.T
+    if kind == "ones":
+        return np.ones((n, n))
+    if kind == "diagonal":
+        return np.diag(rng.integers(-2, 3, n).astype(float))
+    off = rng.standard_normal(n - 1)
+    return np.diag(rng.standard_normal(n)) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def _outcome(fn):
@@ -484,3 +614,47 @@ def test_layer_sweep_sees_a_bad_second_layer():
     assert all(chromatic_number_exact(induced_subgraph(g, g.neighbors(v))) <= 3 for v in range(7))
     assert not layers_3_colorable_loop(7, list(g.adj), {})
     assert _layers_3_colorable(7, np.array([mask], dtype=np.uint32)).tolist() == [False]
+
+
+def _check_eigh_bits(a):
+    vals, vecs = eigh_dense(a)
+    ref_vals, ref_vecs = eigh_dense_columns(a)
+    assert same_bits(vals, ref_vals)
+    assert same_bits(vecs, ref_vecs)
+    # the same memory layout, so BLAS products of the vectors (psd_project_dense) take the same path
+    assert vecs.strides == ref_vecs.strides and vecs.flags.f_contiguous
+    only, none = eigh_dense(a, vectors=False)
+    assert none is None and same_bits(only, ref_vals)
+
+
+@SETTINGS
+@given(sym_matrices())
+def test_eigh_matches_column_rotation_solver(a):
+    _check_eigh_bits(a)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sym_matrices())
+def test_eigh_matches_with_a_flush_after_every_sweep(a):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg_module, "_FLUSH_PER_ROW", 1)
+        _check_eigh_bits(a)
+
+
+def test_eigh_matches_across_a_flush_at_n_300():
+    flushes = []
+    apply_levels = linalg_module._apply_levels
+
+    def counted(zt, rot_i, *rest):
+        flushes.append(len(rot_i))
+        apply_levels(zt, rot_i, *rest)
+
+    rng = np.random.default_rng(300)
+    a = rng.standard_normal((300, 300))
+    a = a + a.T
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg_module, "_apply_levels", counted)
+        vals, vecs = eigh_dense(a)
+    assert len(flushes) >= 2 and flushes[0] >= 64 * 300
+    ref_vals, ref_vecs = eigh_dense_columns(a)
+    assert same_bits(vals, ref_vals) and same_bits(vecs, ref_vecs)
