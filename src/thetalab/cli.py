@@ -54,28 +54,17 @@ def _emit(obj, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, parse, kind: str):
+    """parse(the JSON value in path); an unreadable file or a value parse refuses exits 2."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, ValueError) as exc:
         raise PreconditionViolated(f"cannot read {path}: {exc}") from exc
-
-
-def _load_graph(path: str):
-    obj = _load_json(path)
     try:
-        return graph_from_json(obj)
+        return parse(obj)
     except (ThetalabError, KeyError, TypeError, ValueError) as exc:
-        raise PreconditionViolated(f"{path} is not a graph file: {exc}") from exc
-
-
-def _load_rep(path: str):
-    obj = _load_json(path)
-    try:
-        return rep_from_json(obj)
-    except (ThetalabError, KeyError, TypeError, ValueError) as exc:
-        raise PreconditionViolated(f"{path} is not a representation file: {exc}") from exc
+        raise PreconditionViolated(f"{path} is not a {kind} file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +94,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, graph_from_json, "graph")
     if args.complement:
         g = complement(g)
     code = 0
@@ -136,7 +125,7 @@ def cmd_theta(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, graph_from_json, "graph")
     spec = eigen_sym(adjacency_sym(g))
     if args.json:
         _emit({"n": g.n,
@@ -150,7 +139,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_check_free(args) -> int:
     parse_pattern(args.pattern)  # reject malformed names before touching the file
-    g = _load_graph(args.graph)
+    g = _load(args.graph, graph_from_json, "graph")
     found = contains_pattern(g, args.pattern)
     if args.json:
         _emit({"pattern": args.pattern.strip().upper(), "free": not found, "n": g.n}, None)
@@ -160,7 +149,7 @@ def cmd_check_free(args) -> int:
 
 
 def cmd_rep(args) -> int:
-    rep = _load_rep(args.file)
+    rep = _load(args.file, rep_from_json, "representation")
     if args.action == "validate":
         out = validate_rep(rep, rep.target)
         if args.json:
@@ -212,14 +201,9 @@ def cmd_rep(args) -> int:
 def cmd_verify_paper(args) -> int:
     if args.seed < 0:
         raise PreconditionViolated(f"need --seed >= 0, got {args.seed}")
-    names = []
-    for name in args.experiment:
-        if name == "all":
-            names.extend(EXPERIMENT_NAMES)
-        else:
-            names.append(name)
-    seen = set()
-    names = [nm for nm in names if not (nm in seen or seen.add(nm))]
+    names = [name for name in args.experiment if name != "all"]
+    if "all" in args.experiment:
+        names += EXPERIMENT_NAMES
     reports = run_experiments(names, seed=args.seed)
     if args.json:
         payload = [r.to_json() for r in reports]

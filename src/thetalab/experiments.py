@@ -515,10 +515,14 @@ _RUNNERS = {
 EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
-def run_experiment(name: str, seed: int = 0) -> ExperimentReport:
+def _check_known(name: str) -> None:
     if name not in _RUNNERS:
         known = ", ".join(EXPERIMENT_NAMES)
         raise PreconditionViolated(f"unknown experiment {name!r}; expected one of: {known}")
+
+
+def run_experiment(name: str, seed: int = 0) -> ExperimentReport:
+    _check_known(name)
     start = time.perf_counter()
     parameters, checks = _RUNNERS[name](seed)
     runtime_ms = int((time.perf_counter() - start) * 1000)
@@ -526,10 +530,8 @@ def run_experiment(name: str, seed: int = 0) -> ExperimentReport:
 
 
 def run_experiments(names, seed: int = 0) -> list[ExperimentReport]:
-    """Run several experiments; results ordered by canonical experiment name."""
+    """Run several experiments, each once; results ordered by canonical experiment name."""
     names = list(names)
     for name in names:
-        if name not in _RUNNERS:
-            known = ", ".join(EXPERIMENT_NAMES)
-            raise PreconditionViolated(f"unknown experiment {name!r}; expected one of: {known}")
+        _check_known(name)
     return [run_experiment(nm, seed) for nm in EXPERIMENT_NAMES if nm in names]

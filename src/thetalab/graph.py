@@ -484,11 +484,24 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_number(value, what: str) -> float:
+    """value as a float if it is a JSON number; strings and booleans are refused, not converted."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+
+
 def graph_from_json(obj: dict) -> Graph:
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     edges = [(json_int(u, "edge endpoint"), json_int(v, "edge endpoint")) for u, v in obj.get("edges", [])]
-    return from_edges(json_int(obj["n"], "n"), edges, obj.get("labels"))
+    labels = obj.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ValueError(f"labels must be a list, got {type(labels).__name__}")
+    return from_edges(json_int(obj["n"], "n"), edges, labels)
 
 
 def graph_to_text(g: Graph) -> str:

@@ -1,6 +1,6 @@
-"""Dense symmetric linear algebra: an in-house eigendecomposition
-(Householder tridiagonalization + implicit-shift QL), trace powers,
-numeric rank, and PSD projection.
+"""Dense symmetric linear algebra: read-only dense symmetric matrices, an
+in-house eigendecomposition (Householder tridiagonalization + implicit-shift
+QL), trace powers, numeric rank, and PSD projection.
 
 numpy supplies array storage and BLAS-level products only; the
 eigensolver itself is local so results are reproducible across
@@ -28,26 +28,21 @@ _EPS = float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
-    """Symmetric matrix stored as its packed upper triangle."""
+    """Exactly symmetric float64 matrix as one read-only dense array; see sym_from_dense."""
 
-    n: int
-    entries: np.ndarray  # length n(n+1)/2, row-major upper triangle
-    exact: bool  # entries are integers stored exactly
+    array: np.ndarray  # (n, n), C-contiguous, not writeable
+
+    @property
+    def n(self) -> int:
+        return self.array.shape[0]
 
     def dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        iu = np.triu_indices(self.n)
-        out[iu] = self.entries
-        out = out + out.T
-        out[np.diag_indices(self.n)] /= 2.0
-        return out
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.entries))) if self.entries.size else 0.0
+        """The matrix itself, read-only; copy it to modify it."""
+        return self.array
 
 
 def sym_from_dense(a, tol: float = 1e-10) -> SymMatrix:
-    """Pack a dense symmetric array; asymmetry beyond tol*scale is an error."""
+    """Symmetrize a dense array into a fresh copy; asymmetry beyond tol*scale is an error."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
@@ -58,9 +53,11 @@ def sym_from_dense(a, tol: float = 1e-10) -> SymMatrix:
     if n and float(np.max(np.abs(a - a.T))) > tol * scale:
         raise ValueError("matrix is not symmetric")
     sym = (a + a.T) / 2.0
-    entries = sym[np.triu_indices(n)]
-    exact = bool(np.all(entries == np.round(entries)))
-    return SymMatrix(n, entries, exact)
+    # off-diagonal zeros are stored as +0.0: printed Gram and certificate
+    # matrices show the sign of zero, and bench/references.json fixes their bytes
+    sym[(sym == 0.0) & ~np.eye(n, dtype=bool)] = 0.0
+    sym.flags.writeable = False
+    return SymMatrix(sym)
 
 
 def adjacency_dense(g: Graph) -> np.ndarray:
@@ -250,8 +247,6 @@ def eigh_dense(a: np.ndarray, vectors: bool = True):
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy(), (np.ones((1, 1)) if vectors else None)
     d, e, q = _tridiagonalize(a, vectors)
     zt = q.T.copy() if vectors else None
     _ql_implicit(d, e, zt, iter_cap=30 * n)

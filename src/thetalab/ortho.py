@@ -20,7 +20,7 @@ from .errors import (
     RepInvalid,
     UnsupportedPattern,
 )
-from .graph import Graph, complement, contains_clique, contains_cycle, cycle_graph, graph_from_json, graph_to_json, json_int, parse_pattern
+from .graph import Graph, complement, contains_clique, contains_cycle, cycle_graph, graph_from_json, graph_to_json, json_int, json_number, parse_pattern
 from .linalg import SymMatrix, adjacency_dense, eigvals_sym, sym_from_dense, trace_power
 
 
@@ -182,7 +182,7 @@ def rep_to_json(rep: OrthoRep) -> dict:
 
 def rep_from_json(obj: dict) -> OrthoRep:
     g = graph_from_json(obj["graph"])
-    v = np.asarray(obj["vectors"], dtype=np.float64).T
+    v = np.asarray([[json_number(x, "vector entry") for x in row] for row in obj["vectors"]], dtype=np.float64).T
     return OrthoRep(json_int(obj["d"], "d"), v, g)
 
 

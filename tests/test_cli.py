@@ -164,11 +164,11 @@ def test_verify_output_deterministic(capsys):
 
 def test_verify_multiple_canonical_order(capsys):
     argv = ["verify", "paper", "--experiment", "theta-sandwich",
-            "--experiment", "polarity-c4", "--json"]
+            "--experiment", "polarity-c4", "--experiment", "theta-sandwich", "--json"]
     code, out, _ = run(capsys, argv)
     assert code == 0
     objs = json.loads(out)
-    # canonical order, regardless of the order flags were given in
+    # canonical order, each once, regardless of the order flags were given in
     assert [o["experiment"] for o in objs] == ["polarity-c4", "theta-sandwich"]
 
 
@@ -198,11 +198,17 @@ def test_bad_parameters_exit_two(capsys, argv, needle):
     (["theta", "--graph", "{c5}", "--iteration-cap", "0"], "iteration_cap must be >= 1"),
     (["rep", "certify", "--file", "{rep}", "--check", "msr-chain", "--t", "0"], "t >= 1"),
     (["rep", "certify", "--file", "{rep}", "--check", "msr-chain", "--t", "-2"], "t >= 1"),
+    (["rep", "validate", "--file", "{str_entry}"], "is not a representation file: vector entry must be a number, got '1'"),
+    (["rep", "validate", "--file", "{bool_entry}"], "is not a representation file: vector entry must be a number, got True"),
+    (["rep", "validate", "--file", "{huge_entry}"], "is not a representation file: vector entry is too large for a float"),
 ])
 def test_refused_inputs_exit_two(tmp_path, capsys, args, needle):
     files = {"c5": write_graph(tmp_path / "c5.json", cycle_graph(5)), "rep": str(tmp_path / "rep.json")}
     g = clique_union(9, 3)
     (tmp_path / "rep.json").write_text(json.dumps(rep_to_json(basis_rep_from_clique_cover(g, clique_union_parts(9, 3)))))
+    for name, vectors in (("str_entry", [["1"], [1.0]]), ("bool_entry", [[1.0], [True]]), ("huge_entry", [[10**400], [1.0]])):
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps({"d": 1, "vectors": vectors, "graph": {"n": 2, "edges": [[0, 1]]}}))
     code, out, err = run(capsys, [a.format(**files) for a in args])
     assert code == 2 and out == ""
     assert err.startswith("error:") and needle in err and "Traceback" not in err
@@ -217,6 +223,7 @@ def test_refused_inputs_exit_two(tmp_path, capsys, args, needle):
     ({"n": 3, "edges": [[False, 2]]}, "edge endpoint must be an integer, got False"),
     ([1, 2], "expected a JSON object, got list"),
     ("abc", "expected a JSON object, got str"),
+    ({"n": 3, "edges": [], "labels": "abc"}, "labels must be a list, got str"),
 ])
 def test_non_integer_graph_json_exits_two(tmp_path, capsys, obj, needle):
     path = tmp_path / "g.json"

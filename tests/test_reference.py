@@ -6,8 +6,9 @@ eigendecomposition per derived quantity for the trace certificates, a
 full rebuild per candidate edge for the cycle-free generator, the
 per-pair FieldSpec arithmetic for the finite-field constructions, an
 edge loop for the dense adjacency matrix, a per-graph bitset BFS for
-the layer-colouring sweep, and the QL eigensolver on numpy scalars that
-rotates one eigenvector column pair at a time.  Both sides perform the
+the layer-colouring sweep, the QL eigensolver on numpy scalars that
+rotates one eigenvector column pair at a time, and the packed upper
+triangle for symmetric matrices.  Both sides perform the
 same floating-point operations, so every comparison is exact equality,
 not a tolerance.
 """
@@ -343,6 +344,19 @@ def eigh_dense_columns(a):
     return d[order], z[:, order]
 
 
+def sym_packed_roundtrip(a):
+    """sym_from_dense(a).dense() through a packed upper triangle."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    iu = np.triu_indices(n)
+    entries = ((a + a.T) / 2.0)[iu]
+    out = np.zeros((n, n))
+    out[iu] = entries
+    out = out + out.T
+    out[np.diag_indices(n)] /= 2.0
+    return out
+
+
 def same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
@@ -409,6 +423,20 @@ def sym_matrices(draw, n_max=24):
     return np.diag(rng.standard_normal(n)) + np.diag(off, 1) + np.diag(off, -1)
 
 
+@st.composite
+def signed_zero_matrices(draw, n_max=12):
+    """Symmetric, or one ulp off symmetric below the diagonal, with many signed zeros."""
+    n = draw(st.integers(1, n_max))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array([0.0, -0.0, 1.5, -1.5, 5e-324])
+    a = np.where(rng.random((n, n)) < 0.7, rng.choice(pool, (n, n)), rng.standard_normal((n, n)))
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    a = np.where(upper, a, a.T)  # np.where keeps the sign of zero, unlike adding triangles
+    if draw(st.booleans()):
+        a = np.where(upper, a, np.nextafter(a, np.inf))
+    return a
+
+
 def _outcome(fn):
     try:
         fn()
@@ -459,7 +487,16 @@ def test_theta_result_checks_match_loop(g, seed, fault):
 @given(graphs_with_reps())
 def test_gram_single_product_matches_sum(case):
     _, rep = case
-    assert np.array_equal(gram(rep).entries, gram_sum(rep).entries)
+    assert same_bits(gram(rep).dense(), gram_sum(rep).dense())
+
+
+@SETTINGS
+@given(signed_zero_matrices())
+def test_sym_from_dense_matches_packed_roundtrip(a):
+    m = sym_from_dense(a)
+    assert same_bits(m.dense(), sym_packed_roundtrip(a))
+    with pytest.raises(ValueError):
+        m.dense()[0, 0] = 1.0
 
 
 @SETTINGS
@@ -629,6 +666,9 @@ def _check_eigh_bits(a):
 
 @SETTINGS
 @given(sym_matrices())
+@example(np.array([[0.0]]))
+@example(np.array([[-0.0]]))
+@example(np.array([[-3.0]]))
 def test_eigh_matches_column_rotation_solver(a):
     _check_eigh_bits(a)
 

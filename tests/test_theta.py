@@ -182,8 +182,8 @@ def test_solver_is_deterministic():
     a = theta_sdp(g, tol=1e-5)
     b = theta_sdp(g, tol=1e-5)
     assert a.lower == b.lower and a.upper == b.upper and a.iterations == b.iterations
-    assert np.array_equal(a.primal_x.entries, b.primal_x.entries)
-    assert np.array_equal(a.dual_b.entries, b.dual_b.entries)
+    assert a.primal_x.dense().tobytes() == b.primal_x.dense().tobytes()
+    assert a.dual_b.dense().tobytes() == b.dual_b.dense().tobytes()
 
 
 # --- spectral lower bound -----------------------------------------------------
