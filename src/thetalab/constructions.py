@@ -16,12 +16,15 @@ import numpy as np
 
 from .errors import ComplexityRefused, OrderUnavailable
 from .ffield import FieldElement, field_from_order, field_tables, require_order
-from .graph import BLOCK_ENTRIES, Graph, from_edges
+from .graph import GRAPH_N_CAP, Graph, from_edges
 from .linalg import adjacency_dense
 
-# largest vertex count a field construction builds; its bitset rows alone
-# take n^2/8 bytes, and the adjacency mask is computed in row blocks
-CONSTRUCTION_N_CAP = 20_000
+# largest vertex count a field construction builds, the graph vertex cap;
+# its bitset rows alone take n^2/8 bytes
+CONSTRUCTION_N_CAP = GRAPH_N_CAP
+# entries per block of rows of a construction's adjacency mask: 64-128 KB
+# per temporary
+BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,7 @@ def _bitset_rows(n: int, block_mask) -> tuple[tuple[int, ...], tuple[int, ...]]:
     rows: list[int] = []
     loops: list[int] = []
     step = max(1, BLOCK_ENTRIES // n)
+    width = (n + 7) // 8
     for s in range(0, n, step):
         e = min(s + step, n)
         mask = block_mask(s, e)
@@ -64,8 +68,8 @@ def _bitset_rows(n: int, block_mask) -> tuple[tuple[int, ...], tuple[int, ...]]:
         diag = mask[local, local + s]
         loops.extend((local[diag] + s).tolist())
         mask[local, local + s] = False
-        packed = np.packbits(mask, axis=1, bitorder="little")
-        rows.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
+        packed = np.packbits(mask, axis=1, bitorder="little").tobytes()
+        rows.extend(int.from_bytes(packed[k : k + width], "little") for k in range(0, len(packed), width))
     return tuple(rows), tuple(loops)
 
 
@@ -107,7 +111,7 @@ def furedi_graph(q: int, t: int) -> FurediGraph:
 
     rows, loops = _bitset_rows(n, block_mask)
     pairs = list(zip(a.tolist(), b.tolist()))
-    elements = [f.element(i) for i in range(q)]
+    elements = tab.elements
     labels = tuple(f"{x}:{y}" for x, y in pairs)
     classes = tuple((elements[x], elements[y]) for x, y in pairs)
     return FurediGraph(Graph(n, rows, labels), q, t, classes, tuple(elements[i] for i in sub.tolist()), loops)

@@ -5,10 +5,11 @@ Extension fields reduce modulo a monic irreducible polynomial chosen
 deterministically at construction: the lexicographically smallest one,
 coefficients compared low degree first.
 
-field_tables turns a field into integer tables over element indices
-(log/antilog and base-p digits), built once per field with the exact
-arithmetic above; the graph constructions multiply and add whole index
-arrays through them.
+field_create and field_tables are cached, so each field's modulus search
+and tables are built once per process.  field_tables turns a field into
+integer tables over element indices (log/antilog and base-p digits) with
+the exact arithmetic above; the graph constructions multiply and add whole
+index arrays through them.
 """
 
 from __future__ import annotations
@@ -219,9 +220,11 @@ class FieldSpec:
         return out
 
 
+@functools.lru_cache(maxsize=128)
 def field_create(p: int, alpha: int = 1) -> FieldSpec:
     """Build GF(p^alpha); modulus chosen as the lexicographically smallest
     monic irreducible of degree alpha (coefficients compared low degree first).
+    Kept for the 128 most recently used fields.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -285,8 +288,10 @@ class FieldTables:
     g^k followed by zeros, so antilog[log[a] + log[b]] is the product of
     a and b, zero included, without a branch or a modulus.  digits[k]
     is the k-th base-p digit of every index, so addition is digitwise mod
-    p (a bitwise xor when p = 2).  Every table has O(q) entries; mul and
-    add act elementwise on index arrays of any shape.
+    p: a bitwise xor when p = 2, and (a + b) mod p on a prime field, where
+    the index is the element.  elements[i] is element i as a FieldElement.
+    Every table has O(q) entries; mul and add act elementwise on index
+    arrays of any shape.
     """
 
     p: int
@@ -294,6 +299,7 @@ class FieldTables:
     log: np.ndarray
     antilog: np.ndarray
     digits: np.ndarray  # (alpha, q)
+    elements: tuple[FieldElement, ...]
 
     def mul(self, a, b) -> np.ndarray:
         return self.antilog[self.log[a] + self.log[b]]
@@ -302,6 +308,8 @@ class FieldTables:
         p = self.p
         if p == 2:
             return np.bitwise_xor(a, b)  # digitwise addition mod 2
+        if len(self.digits) == 1:
+            return (a + b) % p
         out = (self.digits[0][a] + self.digits[0][b]) % p
         for k in range(1, len(self.digits)):
             out += (self.digits[k][a] + self.digits[k][b]) % p * p**k
@@ -320,8 +328,8 @@ class FieldTables:
 
 @functools.lru_cache(maxsize=128)
 def field_tables(spec: FieldSpec) -> FieldTables:
-    """Log/antilog and digit tables of a field, built with FieldSpec arithmetic
-    and kept for the 128 most recently used fields."""
+    """Log/antilog, digit and element tables of a field, built with FieldSpec
+    arithmetic and kept for the 128 most recently used fields."""
     q = spec.q
     g = element_of_order(spec, q - 1)
     powers = np.empty(q - 1, dtype=np.intp)
@@ -337,4 +345,5 @@ def field_tables(spec: FieldSpec) -> FieldTables:
     digits = np.stack([idx // spec.p**k % spec.p for k in range(spec.alpha)])
     for table in (log, antilog, digits):
         table.flags.writeable = False  # shared by every caller through the cache
-    return FieldTables(spec.p, q, log, antilog, digits)
+    elements = tuple(FieldElement(c) for c in zip(*digits.tolist()))
+    return FieldTables(spec.p, q, log, antilog, digits, elements)

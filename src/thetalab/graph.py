@@ -24,9 +24,11 @@ from .errors import (
 
 BICLIQUE_SUBSET_CAP = 10**7
 CHROMATIC_N_CAP = 40
-# entries per block of adjacency rows, for the field constructions' masks
-# and the codegree tiles: 64-128 KB per temporary
-BLOCK_ENTRIES = 1 << 14
+# largest vertex count from_edges builds: the bitset rows alone take n^2/8
+# bytes, and the codegree search packs them once more
+GRAPH_N_CAP = 20_000
+# rows of A per codegree tile, unpacked from one packed copy of the rows
+TILE_ROWS = 256
 
 
 def _bits(x: int):
@@ -65,18 +67,28 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u] >> (u + 1) << (u + 1))]
 
 
-def adjacency_rows(g: Graph, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Rows start..stop-1 of the adjacency matrix as a 0/1 uint8 array."""
-    rows = g.adj[start:stop]
+def _packed_rows(g: Graph) -> np.ndarray:
+    """The bitset rows as an (n, ceil(n/8)) uint8 array, bits little-endian."""
     width = (g.n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(len(rows), width), axis=1, count=g.n, bitorder="little")
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.adj), dtype=np.uint8)
+    return packed.reshape(g.n, width)
+
+
+def adjacency_rows(g: Graph) -> np.ndarray:
+    """The adjacency matrix as a 0/1 uint8 array."""
+    return np.unpackbits(_packed_rows(g), axis=1, count=g.n, bitorder="little")
 
 
 def from_edges(n: int, edges, labels=None) -> Graph:
-    """Build a simple graph; duplicate edges collapse, loops are rejected."""
+    """Build a simple graph; duplicate edges collapse, loops are rejected.
+
+    n above GRAPH_N_CAP is refused with ComplexityRefused before anything
+    is allocated.
+    """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
+    if n > GRAPH_N_CAP:
+        raise ComplexityRefused(f"n = {n} vertices, above the vertex cap {GRAPH_N_CAP}")
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -128,16 +140,21 @@ def _codegree_reaches(g: Graph, s: int) -> bool:
     """True iff two distinct vertices have at least s common neighbours.
 
     Common-neighbour counts are the off-diagonal entries of A·A.  They are
-    computed one tile pair i <= j at a time, each tile BLOCK_ENTRIES // n
-    rows of A, so no n x n matrix is held.  float32 is exact here: every
-    partial sum is an integer <= n < 2^24.
+    computed one tile pair i <= j at a time, each tile TILE_ROWS rows of A
+    unpacked as float32 from one packed copy of the rows, so no n x n
+    matrix is held: the extra memory is n^2/8 bytes plus O(TILE_ROWS * n).
+    float32 is exact here: every partial sum is an integer <= n < 2^24.
     """
     n = g.n
-    step = max(1, BLOCK_ENTRIES // max(n, 1))
-    for i in range(0, n, step):
-        left = adjacency_rows(g, i, i + step).astype(np.float32)
-        for j in range(i, n, step):
-            right = left if j == i else adjacency_rows(g, j, j + step).astype(np.float32)
+    packed = _packed_rows(g)
+
+    def tile(i):
+        return np.unpackbits(packed[i : i + TILE_ROWS], axis=1, count=n, bitorder="little").astype(np.float32)
+
+    for i in range(0, n, TILE_ROWS):
+        left = tile(i)
+        for j in range(i, n, TILE_ROWS):
+            right = left if j == i else tile(j)
             common = left @ right.T
             if j == i:
                 np.fill_diagonal(common, 0.0)

@@ -42,7 +42,8 @@ class SymMatrix:
 
 
 def sym_from_dense(a, tol: float = 1e-10) -> SymMatrix:
-    """Symmetrize a dense array into a fresh copy; asymmetry beyond tol*scale is an error."""
+    """Symmetrize a dense array into a fresh copy; asymmetry beyond tol*scale,
+    or entries whose symmetrized value overflows, is an error."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
@@ -52,7 +53,10 @@ def sym_from_dense(a, tol: float = 1e-10) -> SymMatrix:
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
     if n and float(np.max(np.abs(a - a.T))) > tol * scale:
         raise ValueError("matrix is not symmetric")
-    sym = (a + a.T) / 2.0
+    with np.errstate(over="ignore"):
+        sym = (a + a.T) / 2.0
+    if not np.all(np.isfinite(sym)):
+        raise ValueError("symmetrized entries overflow float64")
     # off-diagonal zeros are stored as +0.0: printed Gram and certificate
     # matrices show the sign of zero, and bench/references.json fixes their bytes
     sym[(sym == 0.0) & ~np.eye(n, dtype=bool)] = 0.0

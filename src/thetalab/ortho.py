@@ -65,9 +65,14 @@ def validate_rep(rep: OrthoRep, g: Graph, tol: float = 1e-8) -> RepValidation:
 
 
 def gram(rep: OrthoRep) -> SymMatrix:
-    """Gram matrix of the representation's vectors."""
+    """Gram matrix of the representation's vectors; PreconditionViolated if
+    it overflows float64."""
     v = rep.vectors
-    return sym_from_dense(v.T @ v, tol=1e-8)
+    with np.errstate(over="ignore"):
+        m = v.T @ v
+    if not np.all(np.isfinite(m)):
+        raise PreconditionViolated("Gram matrix overflows float64: vector entries are too large")
+    return sym_from_dense(m, tol=1e-8)
 
 
 def basis_rep_from_clique_cover(g: Graph, cover) -> OrthoRep:

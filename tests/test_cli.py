@@ -201,14 +201,21 @@ def test_bad_parameters_exit_two(capsys, argv, needle):
     (["rep", "validate", "--file", "{str_entry}"], "is not a representation file: vector entry must be a number, got '1'"),
     (["rep", "validate", "--file", "{bool_entry}"], "is not a representation file: vector entry must be a number, got True"),
     (["rep", "validate", "--file", "{huge_entry}"], "is not a representation file: vector entry is too large for a float"),
+    (["rep", "gram", "--file", "{overflow_entry}"], "Gram matrix overflows float64"),
+    (["spectrum", "--graph", "{huge_n}"], "is not a graph file: n = 100000000000000000000000 vertices, above the vertex cap 20000"),
+    (["spectrum", "--graph", "{billion_n}"], "is not a graph file: n = 1000000000 vertices, above the vertex cap 20000"),
 ])
 def test_refused_inputs_exit_two(tmp_path, capsys, args, needle):
     files = {"c5": write_graph(tmp_path / "c5.json", cycle_graph(5)), "rep": str(tmp_path / "rep.json")}
     g = clique_union(9, 3)
     (tmp_path / "rep.json").write_text(json.dumps(rep_to_json(basis_rep_from_clique_cover(g, clique_union_parts(9, 3)))))
-    for name, vectors in (("str_entry", [["1"], [1.0]]), ("bool_entry", [[1.0], [True]]), ("huge_entry", [[10**400], [1.0]])):
+    for name, vectors in (("str_entry", [["1"], [1.0]]), ("bool_entry", [[1.0], [True]]), ("huge_entry", [[10**400], [1.0]]),
+                          ("overflow_entry", [[1.7e308], [1.0]])):
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps({"d": 1, "vectors": vectors, "graph": {"n": 2, "edges": [[0, 1]]}}))
+    for name, n in (("huge_n", 10**23), ("billion_n", 10**9)):
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps({"n": n, "edges": []}))
     code, out, err = run(capsys, [a.format(**files) for a in args])
     assert code == 2 and out == ""
     assert err.startswith("error:") and needle in err and "Traceback" not in err

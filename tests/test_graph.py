@@ -16,6 +16,7 @@ from thetalab.errors import (
     UnsupportedPattern,
 )
 from thetalab.graph import (
+    GRAPH_N_CAP,
     Graph,
     bfs_layers,
     chromatic_number_exact,
@@ -67,6 +68,18 @@ def test_from_edges_rejects_loops_and_range():
         from_edges(2, [(0, 0)])
     with pytest.raises(IndexOutOfRange):
         from_edges(2, [(0, 2)])
+
+
+@pytest.mark.parametrize("n", [GRAPH_N_CAP + 1, 10**9, 10**23])
+def test_from_edges_refuses_above_vertex_cap(n):
+    with pytest.raises(ComplexityRefused, match=f"n = {n} vertices, above the vertex cap {GRAPH_N_CAP}"):
+        from_edges(n, [])
+    with pytest.raises(ComplexityRefused):
+        graph_from_text(f"{n} 0\n")
+
+
+def test_from_edges_builds_at_vertex_cap():
+    assert from_edges(GRAPH_N_CAP, [(0, GRAPH_N_CAP - 1)]).edge_count() == 1
 
 
 def test_duplicate_edges_collapse():

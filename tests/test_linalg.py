@@ -56,6 +56,13 @@ def test_nonfinite_rejected():
         sym_from_dense(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
 
+def test_symmetrization_overflow_rejected():
+    # (a + a.T) / 2 overflows on the diagonal although every entry is finite
+    with pytest.raises(ValueError, match="overflow"):
+        sym_from_dense(np.array([[1.7e308, 0.0], [0.0, 1.0]]))
+    assert sym_from_dense(np.array([[8e307, 0.0], [0.0, 1.0]])).dense()[0, 0] == 8e307
+
+
 # ---------------------------------------------------------------------------
 # eigen_sym examples
 # ---------------------------------------------------------------------------

@@ -113,6 +113,12 @@ def test_gram_blocks():
     assert np.array_equal(gram(basis_rep_from_clique_cover(empty_graph(3), [[0], [1], [2]])).dense(), np.eye(3))
 
 
+def test_gram_overflow_is_a_precondition_violation():
+    rep = OrthoRep(1, np.array([[1.7e308, 1.0]]), from_edges(2, [(0, 1)]))
+    with pytest.raises(PreconditionViolated, match="overflows"):
+        gram(rep)
+
+
 def test_umbrella_gram_orthogonal_pairs():
     gm = gram(umbrella_rep(False)).dense()
     for k in range(5):

@@ -570,6 +570,7 @@ def test_table_arithmetic_matches_field_spec(q):
     expected_add = [f.index(f.add(f.element(x), f.element(y))) for x, y in zip(a.tolist(), b.tolist())]
     assert tab.mul(a, b).tolist() == expected_mul
     assert tab.add(a, b).tolist() == expected_add
+    assert all(tab.elements[i] == f.element(i) for i in range(q)) and len(tab.elements) == q
 
 
 @pytest.mark.parametrize("q", _prime_powers(300))
@@ -605,7 +606,7 @@ TILE_N = 13  # with 3 rows per tile: tiles 0-2, 3-5, 6-8, 9-11 and 12
 @pytest.mark.parametrize("pair", [(0, 2), (1, 10), (11, 12)], ids=["one-tile", "two-tiles", "last-tile"])
 @pytest.mark.parametrize("s", [3, 4, 5])
 def test_codegree_tiles_find_biclique(monkeypatch, pair, s):
-    monkeypatch.setattr(graph_module, "BLOCK_ENTRIES", 3 * TILE_N)
+    monkeypatch.setattr(graph_module, "TILE_ROWS", 3)
     # the pair's s common neighbours share only the pair, so only the pair reaches s
     others = [w for w in range(TILE_N) if w not in pair][-s:]
     g = from_edges(TILE_N, [(u, w) for u in pair for w in others])
@@ -614,7 +615,7 @@ def test_codegree_tiles_find_biclique(monkeypatch, pair, s):
 
 
 def test_codegree_tiles_free_graphs(monkeypatch):
-    monkeypatch.setattr(graph_module, "BLOCK_ENTRIES", 3 * TILE_N)
+    monkeypatch.setattr(graph_module, "TILE_ROWS", 3)
     star = from_edges(TILE_N, [(6, w) for w in range(TILE_N) if w != 6])  # degree 12, codegrees 1
     for g in (star, polarity_graph(3)):
         assert g.n == TILE_N
@@ -622,6 +623,22 @@ def test_codegree_tiles_free_graphs(monkeypatch):
     fg = furedi_graph(5, 2).graph  # n = 12: K_{2,3}-free, but with 4-cycles
     assert not contains_complete_bipartite(fg, 2, 3)
     assert contains_complete_bipartite(fg, 2, 2) and contains_cycle(fg, 4)
+
+
+def test_codegree_default_tiles_polarity_is_c4_free():
+    g = polarity_graph(31)  # n = 993: four tiles of TILE_ROWS = 256 rows
+    assert g.n == 993 and -(-g.n // graph_module.TILE_ROWS) == 4
+    assert not contains_cycle(g, 4)
+
+
+def test_codegree_default_tiles_find_pair_in_first_and_last_tile():
+    # only vertices 0 and 992, in the first and last tiles, share three neighbours
+    n = 993
+    edges = [(u, w) for u in (0, n - 1) for w in (400, 401, 402)]
+    edges += [(v, v + 1) for v in range(3, 399, 2)]  # a matching, so other rows are not empty
+    g = from_edges(n, edges)
+    assert contains_complete_bipartite(g, 2, 3) and not contains_complete_bipartite(g, 2, 4)
+    assert contains_cycle(g, 4)
 
 
 def test_layer_sweep_matches_per_graph_bfs():
