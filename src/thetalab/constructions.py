@@ -3,9 +3,15 @@
 Three constructions live here: a biclique-free graph on scaling classes of
 nonzero field pairs, the projective-plane polarity graph, and disjoint
 unions of equal cliques.  The field constructions evaluate their
-loop-included relation on element indices through the field's log/antilog
-and digit tables (ffield.field_tables), one block of rows at a time, and
-emit the simple graph with loops stripped.
+loop-included relation on element indices through the field's tables
+(ffield.field_tables), one block of rows at a time, and emit the simple
+graph with loops stripped.  Both order their columns as a grid over field
+elements, so a block needs its rows' products only with every element and,
+for the scaling classes, with the coset minima, computed from discrete logs
+gathered once per graph.  Each entry then costs one add of two additive codes and one gather of a
+table that marks the code sums in the subgroup (scaling classes), or one
+comparison of x·x' + y·y' with -z·z' (polarity).  Both check the vertex
+count against CONSTRUCTION_N_CAP before building the field.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComplexityRefused, OrderUnavailable
-from .ffield import FieldElement, field_from_order, field_tables, require_order
+from .ffield import FieldElement, field_from_order, field_tables, order_split, require_order
 from .graph import GRAPH_N_CAP, Graph, from_edges
 from .linalg import adjacency_dense
 
@@ -90,24 +96,37 @@ def furedi_graph(q: int, t: int) -> FurediGraph:
     """
     if t < 1:
         raise OrderUnavailable(f"subgroup order must be >= 1, got {t}")
-    f = field_from_order(q)
+    order_split(q)  # refuse a bad order, then an oversized graph, before the modulus search
     require_order(q, t)
     n = (q * q - 1) // t
     _refuse_above_cap(f"furedi({q}, {t})", n)
-    tab = field_tables(f)
+    tab = field_tables(field_from_order(q))
     sub = tab.subgroup(tab.element_of_order(t), t)
     in_sub = np.zeros(q, dtype=bool)
     in_sub[sub] = True
 
-    # smallest index of each coset of H, ascending
-    _, first = np.unique(tab.log[1:] % ((q - 1) // t), return_index=True)
-    coset_min = np.sort(first + 1)
+    # smallest index of each coset of H, ascending: coset r is column r of
+    # the antilog period read as t rows of (q - 1)/t
+    coset_min = np.sort(tab.antilog[: q - 1].reshape(t, -1).min(axis=0))
     a = np.concatenate([np.zeros_like(coset_min), np.repeat(coset_min, q)])
     b = np.concatenate([coset_min, np.tile(np.arange(q), len(coset_min))])
     assert len(a) == n
 
+    # The columns are (0, m) for each coset minimum m, then (m, b') for each
+    # m and every element b', so a block needs only its rows' products with
+    # the coset minima and with every element, read in the additive code:
+    # a·m + b·b' lies in H iff sum_in_sub holds at the sum of their codes.
+    coded_antilog = tab.code[tab.antilog]
+    sum_in_sub = in_sub[tab.fold]
+    log_a, log_b, log_min = tab.log[a], tab.log[b], tab.log[coset_min]
+
     def block_mask(s, e):
-        return in_sub[tab.add(tab.mul(a[s:e, None], a), tab.mul(b[s:e, None], b))]
+        la, lb = log_a[s:e, None], log_b[s:e, None]
+        head = in_sub[tab.antilog[lb + log_min]]  # columns (0, m): a·0 + b·m
+        am = coded_antilog[la + log_min]
+        bb = coded_antilog[lb + tab.log]
+        grid = sum_in_sub[tab.code_sum(am[:, :, None], bb[:, None, :])]
+        return np.concatenate([head, grid.reshape(e - s, -1)], axis=1)
 
     rows, loops = _bitset_rows(n, block_mask)
     pairs = list(zip(a.tolist(), b.tolist()))
@@ -160,18 +179,26 @@ def polarity_graph_with_loops(q: int) -> tuple[Graph, tuple[int, ...]]:
     Self-orthogonal points would carry loops; they are removed from the
     simple graph and returned separately.
     """
-    f = field_from_order(q)
+    order_split(q)  # refuse a bad order, then an oversized graph, before the modulus search
     n = q * q + q + 1
     _refuse_above_cap(f"polarity({q})", n)
-    tab = field_tables(f)
+    tab = field_tables(field_from_order(q))
     span = np.arange(q)
     x = np.concatenate([np.ones(q * q, dtype=np.int64), np.zeros(q + 1, dtype=np.int64)])
     y = np.concatenate([np.repeat(span, q), np.ones(q, dtype=np.int64), [0]])
     z = np.concatenate([np.tile(span, q), span, [1]])
 
+    # The columns are (1, y', z') for every y' and z', then (0, 1, z'), then
+    # (0, 0, 1).  A dot product vanishes iff x·x' + y·y' == -z·z', so a
+    # block compares its rows' x + y·y' for every y' with -z·z' for every z'.
+    neg_z = tab.mul(tab.p - 1, z)  # -1 is the index p - 1
+    log_y, log_neg_z = tab.log[y], tab.log[neg_z]
+
     def block_mask(s, e):
-        dot = tab.add(tab.mul(x[s:e, None], x), tab.mul(y[s:e, None], y))
-        return tab.add(dot, tab.mul(z[s:e, None], z)) == 0
+        xy = tab.add(x[s:e, None], tab.antilog[log_y[s:e, None] + tab.log])
+        neg_zz = tab.antilog[log_neg_z[s:e, None] + tab.log]
+        grid = xy[:, :, None] == neg_zz[:, None, :]
+        return np.concatenate([grid.reshape(e - s, -1), neg_zz == y[s:e, None], z[s:e, None] == 0], axis=1)
 
     rows, absolute = _bitset_rows(n, block_mask)
     labels = tuple(f"{u}:{v}:{w}" for u, v, w in zip(x.tolist(), y.tolist(), z.tolist()))

@@ -7,9 +7,12 @@ coefficients compared low degree first.
 
 field_create and field_tables are cached, so each field's modulus search
 and tables are built once per process.  field_tables turns a field into
-integer tables over element indices (log/antilog and base-p digits) with
-the exact arithmetic above; the graph constructions multiply and add whole
-index arrays through them.
+integer tables over element indices with the exact arithmetic above:
+log/antilog for multiplication, and a carry-free code with its fold table
+for addition, so both are one gather.  The graph constructions multiply and
+add whole index arrays through them.  order_split checks an order without
+building the field, so callers can refuse an oversized input before the
+modulus search.
 """
 
 from __future__ import annotations
@@ -220,6 +223,11 @@ class FieldSpec:
         return out
 
 
+def _refuse_order_above_cap(p: int, alpha: int) -> None:
+    if p**alpha > ORDER_CAP:
+        raise Overflow(f"field order {p}^{alpha} exceeds {ORDER_CAP}")
+
+
 @functools.lru_cache(maxsize=128)
 def field_create(p: int, alpha: int = 1) -> FieldSpec:
     """Build GF(p^alpha); modulus chosen as the lexicographically smallest
@@ -230,8 +238,7 @@ def field_create(p: int, alpha: int = 1) -> FieldSpec:
         raise NotPrime(f"{p} is not prime")
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    if p**alpha > ORDER_CAP:
-        raise Overflow(f"field order {p}^{alpha} exceeds {ORDER_CAP}")
+    _refuse_order_above_cap(p, alpha)
     if alpha == 1:
         return FieldSpec(p, 1, ())
     for m in _monic_polys(alpha, p):
@@ -240,10 +247,17 @@ def field_create(p: int, alpha: int = 1) -> FieldSpec:
     raise RuntimeError("unreachable: an irreducible polynomial of every degree exists")
 
 
+def order_split(q: int) -> tuple[int, int]:
+    """(p, alpha) of a field order q, with field_from_order's checks
+    (NotPrime, then Overflow) but without the modulus search."""
+    p, alpha = prime_power_split(q)
+    _refuse_order_above_cap(p, alpha)
+    return p, alpha
+
+
 def field_from_order(q: int) -> FieldSpec:
     """GF(q) for a prime power q."""
-    p, alpha = prime_power_split(q)
-    return field_create(p, alpha)
+    return field_create(*order_split(q))
 
 
 def require_order(q: int, t: int) -> None:
@@ -286,34 +300,42 @@ class FieldTables:
     discrete log of element i for i >= 1 and antilog[k] is the index of
     g^k.  log[0] is the sentinel 2(q-1), and antilog holds two periods of
     g^k followed by zeros, so antilog[log[a] + log[b]] is the product of
-    a and b, zero included, without a branch or a modulus.  digits[k]
-    is the k-th base-p digit of every index, so addition is digitwise mod
-    p: a bitwise xor when p = 2, and (a + b) mod p on a prime field, where
-    the index is the element.  elements[i] is element i as a FieldElement.
-    Every table has O(q) entries; mul and add act elementwise on index
-    arrays of any shape.
+    a and b, zero included, without a branch or a modulus.
+
+    Addition goes through a carry-free code.  For odd p, code[i] gives
+    base-p digit k of i the weight (2p-1)^k: two digits sum to at most
+    2p-2, so the sum of two codes holds the digit sums without carries, and
+    fold, with (2p-1)^alpha entries, maps it back to the index of the sum
+    (each digit sum mod p).  On a prime field the code is the identity.  For
+    p = 2 the code is the index, codes combine by xor, and fold is the
+    identity.  So a + b = fold[code_sum(code[a], code[b])], which add
+    computes as one gather (a xor for p = 2).  The largest fold under the
+    construction cap is 5^9 entries, about 16 MB, for q = 3^9; every other
+    table has O(q) entries.  elements[i] is element i as a FieldElement.
+    mul and add act elementwise on index arrays of any shape.
     """
 
     p: int
     q: int
     log: np.ndarray
     antilog: np.ndarray
-    digits: np.ndarray  # (alpha, q)
+    code: np.ndarray
+    fold: np.ndarray
     elements: tuple[FieldElement, ...]
 
     def mul(self, a, b) -> np.ndarray:
         return self.antilog[self.log[a] + self.log[b]]
 
+    def code_sum(self, x, y) -> np.ndarray:
+        """Code of a + b from the codes x, y of a and b; fold maps it to an index."""
+        return np.bitwise_xor(x, y) if self.p == 2 else x + y
+
     def add(self, a, b) -> np.ndarray:
-        p = self.p
-        if p == 2:
-            return np.bitwise_xor(a, b)  # digitwise addition mod 2
-        if len(self.digits) == 1:
-            return (a + b) % p
-        out = (self.digits[0][a] + self.digits[0][b]) % p
-        for k in range(1, len(self.digits)):
-            out += (self.digits[k][a] + self.digits[k][b]) % p * p**k
-        return out
+        if self.p == 2:
+            return np.bitwise_xor(a, b)  # the code is the index and fold the identity
+        if self.p == self.q:
+            return self.fold[a + b]  # the code is the identity on a prime field
+        return self.fold[self.code[a] + self.code[b]]
 
     def element_of_order(self, t: int) -> int:
         """Index of the first element of multiplicative order exactly t; t | q-1."""
@@ -328,9 +350,9 @@ class FieldTables:
 
 @functools.lru_cache(maxsize=128)
 def field_tables(spec: FieldSpec) -> FieldTables:
-    """Log/antilog, digit and element tables of a field, built with FieldSpec
-    arithmetic and kept for the 128 most recently used fields."""
-    q = spec.q
+    """Log/antilog, code/fold and element tables of a field, built with
+    FieldSpec arithmetic and kept for the 128 most recently used fields."""
+    p, q = spec.p, spec.q
     g = element_of_order(spec, q - 1)
     powers = np.empty(q - 1, dtype=np.intp)
     cur = spec.one
@@ -341,9 +363,14 @@ def field_tables(spec: FieldSpec) -> FieldTables:
     log[0] = 2 * (q - 1)
     log[powers] = np.arange(q - 1)
     antilog = np.concatenate([powers, powers, np.zeros(2 * (q - 1) + 1, dtype=np.intp)])
-    idx = np.arange(q, dtype=np.intp)
-    digits = np.stack([idx // spec.p**k % spec.p for k in range(spec.alpha)])
-    for table in (log, antilog, digits):
+    # base of the code digits: a digit sum fits below it, or it is a xor
+    w = 2 * p - 1 if p > 2 else 2
+    code = np.zeros(1, dtype=np.intp)
+    fold = np.zeros(1, dtype=np.intp)
+    for k in range(spec.alpha):  # digit k is the slowest axis of both tables
+        code = (np.arange(p, dtype=np.intp)[:, None] * w**k + code).ravel()
+        fold = (np.arange(w, dtype=np.intp)[:, None] % p * p**k + fold).ravel()
+    for table in (log, antilog, code, fold):
         table.flags.writeable = False  # shared by every caller through the cache
-    elements = tuple(FieldElement(c) for c in zip(*digits.tolist()))
-    return FieldTables(spec.p, q, log, antilog, digits, elements)
+    elements = tuple(FieldElement(c[::-1]) for c in itertools.product(range(p), repeat=spec.alpha))
+    return FieldTables(p, q, log, antilog, code, fold, elements)

@@ -169,10 +169,13 @@ def contains_cycle(g: Graph, k: int) -> bool:
     A 4-cycle is exactly two distinct vertices with >= 2 common neighbours,
     so k = 4 is decided from codegrees (_codegree_reaches).  Other k use a
     backtracking DFS over simple paths rooted at each cycle's minimum
-    vertex, pruned by BFS distance back to the root.
+    vertex, pruned by BFS distance back to the root.  A cycle longer than
+    n does not fit, so k > n is False without a search.
     """
     if k < 3:
         raise PreconditionViolated("cycle length must be >= 3")
+    if k > g.n:
+        return False
     if k == 4:
         return _codegree_reaches(g, 2)
     n, adj = g.n, g.adj

@@ -204,6 +204,10 @@ def test_bad_parameters_exit_two(capsys, argv, needle):
     (["rep", "gram", "--file", "{overflow_entry}"], "Gram matrix overflows float64"),
     (["spectrum", "--graph", "{huge_n}"], "is not a graph file: n = 100000000000000000000000 vertices, above the vertex cap 20000"),
     (["spectrum", "--graph", "{billion_n}"], "is not a graph file: n = 1000000000 vertices, above the vertex cap 20000"),
+    # refused before the irreducible-modulus search of GF(2^30) and GF(3^19)
+    (["construct", "polarity", "--q", "1073741824"], "n = 1152921505680588801 vertices, above the construction cap"),
+    (["construct", "polarity", "--q", "1162261467"], "n = 1350851718835253557 vertices, above the construction cap"),
+    (["construct", "furedi", "--q", "1162261467", "--t", "2"], "n = 675425858836496044 vertices, above the construction cap"),
 ])
 def test_refused_inputs_exit_two(tmp_path, capsys, args, needle):
     files = {"c5": write_graph(tmp_path / "c5.json", cycle_graph(5)), "rep": str(tmp_path / "rep.json")}

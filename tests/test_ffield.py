@@ -9,6 +9,7 @@ from thetalab.ffield import (
     field_create,
     field_from_order,
     is_prime,
+    order_split,
     prime_power_split,
     subgroup,
 )
@@ -33,6 +34,15 @@ def test_not_prime_rejected():
 def test_order_cap():
     with pytest.raises(Overflow):
         field_create(2, 40)
+
+
+def test_order_split_checks_without_building_the_field():
+    assert order_split(3**19) == (3, 19)  # no degree-19 modulus search
+    assert order_split(49) == (7, 2)
+    with pytest.raises(NotPrime):
+        order_split(12)
+    with pytest.raises(Overflow):
+        order_split(2**40)
 
 
 def test_prime_power_split():

@@ -155,6 +155,11 @@ def test_contains_cycle_examples():
     assert contains_cycle(p, 6)
 
 
+def test_contains_cycle_longer_than_n_is_false():
+    assert not contains_cycle(complete_graph(40), 41)  # no DFS over the 40! paths
+    assert contains_cycle(complete_graph(6), 6)
+
+
 def test_contains_cycle_rejects_small_k():
     with pytest.raises(PreconditionViolated):
         contains_cycle(cycle_graph(5), 2)

@@ -4,13 +4,13 @@ The references are O(n^2) Python loops for the certificate checks, the
 path DFS and the pair loop for the 4-cycle and K_{2,s} searches, one
 eigendecomposition per derived quantity for the trace certificates, a
 full rebuild per candidate edge for the cycle-free generator, the
-per-pair FieldSpec arithmetic for the finite-field constructions, an
-edge loop for the dense adjacency matrix, a per-graph bitset BFS for
-the layer-colouring sweep, the QL eigensolver on numpy scalars that
-rotates one eigenvector column pair at a time, and the packed upper
-triangle for symmetric matrices.  Both sides perform the
-same floating-point operations, so every comparison is exact equality,
-not a tolerance.
+per-pair FieldSpec arithmetic for the finite-field constructions, the
+loop over base-p digits for table addition, an edge loop for the dense
+adjacency matrix, a per-graph bitset BFS for the layer-colouring sweep,
+the QL eigensolver on numpy scalars that rotates one eigenvector column
+pair at a time, and the packed upper triangle for symmetric matrices.
+Both sides perform the same floating-point operations, so every
+comparison is exact equality, not a tolerance.
 """
 
 import math
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thetalab import constructions as constructions_module
 from thetalab import graph as graph_module
 from thetalab import linalg as linalg_module
 from thetalab.constructions import furedi_graph, polarity_graph, polarity_graph_with_loops
@@ -156,6 +157,16 @@ def furedi_graph_loop(q, t):
     loops = tuple(u for u in range(n) if dot(classes[u], classes[u]) in sub_set)
     labels = tuple(f"{f.index(a)}:{f.index(b)}" for a, b in classes)
     return from_edges(n, edges, labels=labels), loops, tuple(classes), sub
+
+
+def add_digit_loop(p, alpha, a, b):
+    """Index of a + b in GF(p^alpha) from a base-p digit table, one digit at a time."""
+    idx = np.arange(p**alpha)
+    digits = np.stack([idx // p**k % p for k in range(alpha)])
+    out = (digits[0][a] + digits[0][b]) % p
+    for k in range(1, alpha):
+        out += (digits[k][a] + digits[k][b]) % p * p**k
+    return out
 
 
 def polarity_graph_loop(q):
@@ -546,8 +557,9 @@ def test_cycle_free_graph_matches_rebuild(k, seed):
     assert _cycle_free_graph(n, k, np.random.default_rng(seed)) == expected
 
 
+# plus furedi(q, q - 1) on the extension fields with odd p above n = 120
 FUREDI_CASES = [(q, t) for q in _prime_powers(120) for t in range(1, q)
-                if (q - 1) % t == 0 and (q * q - 1) // t <= 120]
+                if (q - 1) % t == 0 and (q * q - 1) // t <= 120] + [(121, 120), (125, 124), (169, 168)]
 
 
 @pytest.mark.parametrize("q, t", FUREDI_CASES)
@@ -561,6 +573,15 @@ def test_polarity_graph_matches_loop(q):
     assert polarity_graph_with_loops(q) == polarity_graph_loop(q)
 
 
+def test_constructions_match_loop_one_row_per_block(monkeypatch):
+    monkeypatch.setattr(constructions_module, "BLOCK_ENTRIES", 1)
+    for q, t in ((8, 1), (9, 2), (25, 6)):
+        fg = furedi_graph(q, t)
+        assert (fg.graph, fg.loops_removed, fg.classes, fg.scaling_subgroup) == furedi_graph_loop(q, t)
+    for q in (4, 9):
+        assert polarity_graph_with_loops(q) == polarity_graph_loop(q)
+
+
 @pytest.mark.parametrize("q", _prime_powers(64))
 def test_table_arithmetic_matches_field_spec(q):
     f = field_from_order(q)
@@ -571,6 +592,15 @@ def test_table_arithmetic_matches_field_spec(q):
     assert tab.mul(a, b).tolist() == expected_mul
     assert tab.add(a, b).tolist() == expected_add
     assert all(tab.elements[i] == f.element(i) for i in range(q)) and len(tab.elements) == q
+
+
+@pytest.mark.parametrize("q", [q for q in _prime_powers(729) if q % 2 and q not in prime_factors(q)])
+def test_table_addition_matches_digit_loop(q):
+    f = field_from_order(q)
+    tab = field_tables(f)
+    assert len(tab.fold) == (2 * f.p - 1) ** f.alpha
+    a, b = np.divmod(np.arange(q * q), q)
+    assert np.array_equal(tab.add(a, b), add_digit_loop(f.p, f.alpha, a, b))
 
 
 @pytest.mark.parametrize("q", _prime_powers(300))
