@@ -114,10 +114,10 @@ def furedi_graph(q: int, t: int) -> FurediGraph:
 
     # The columns are (0, m) for each coset minimum m, then (m, b') for each
     # m and every element b', so a block needs only its rows' products with
-    # the coset minima and with every element, read in the additive code:
-    # a·m + b·b' lies in H iff sum_in_sub holds at the sum of their codes.
-    coded_antilog = tab.code[tab.antilog]
-    sum_in_sub = in_sub[tab.fold]
+    # the coset minima and with every element, encoded for the test of
+    # a·m + b·b' against H.
+    sum_in_sub = tab.sum_test(in_sub)
+    coded_antilog = sum_in_sub.encode(tab.antilog)
     log_a, log_b, log_min = tab.log[a], tab.log[b], tab.log[coset_min]
 
     def block_mask(s, e):
@@ -125,7 +125,7 @@ def furedi_graph(q: int, t: int) -> FurediGraph:
         head = in_sub[tab.antilog[lb + log_min]]  # columns (0, m): a·0 + b·m
         am = coded_antilog[la + log_min]
         bb = coded_antilog[lb + tab.log]
-        grid = sum_in_sub[tab.code_sum(am[:, :, None], bb[:, None, :])]
+        grid = sum_in_sub(am[:, :, None], bb[:, None, :])
         return np.concatenate([head, grid.reshape(e - s, -1)], axis=1)
 
     rows, loops = _bitset_rows(n, block_mask)
@@ -191,7 +191,7 @@ def polarity_graph_with_loops(q: int) -> tuple[Graph, tuple[int, ...]]:
     # The columns are (1, y', z') for every y' and z', then (0, 1, z'), then
     # (0, 0, 1).  A dot product vanishes iff x·x' + y·y' == -z·z', so a
     # block compares its rows' x + y·y' for every y' with -z·z' for every z'.
-    neg_z = tab.mul(tab.p - 1, z)  # -1 is the index p - 1
+    neg_z = tab.neg(z)
     log_y, log_neg_z = tab.log[y], tab.log[neg_z]
 
     def block_mask(s, e):

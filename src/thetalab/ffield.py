@@ -308,11 +308,12 @@ class FieldTables:
     fold, with (2p-1)^alpha entries, maps it back to the index of the sum
     (each digit sum mod p).  On a prime field the code is the identity.  For
     p = 2 the code is the index, codes combine by xor, and fold is the
-    identity.  So a + b = fold[code_sum(code[a], code[b])], which add
-    computes as one gather (a xor for p = 2).  The largest fold under the
-    construction cap is 5^9 entries, about 16 MB, for q = 3^9; every other
-    table has O(q) entries.  elements[i] is element i as a FieldElement.
-    mul and add act elementwise on index arrays of any shape.
+    identity.  So add is one gather, fold[code[a] + code[b]] (a xor for
+    p = 2), and sum_test folds a membership test into that gather.  The
+    largest fold under the construction cap is 5^9 entries, about 16 MB,
+    for q = 3^9; every other table has O(q) entries.  elements[i] is
+    element i as a FieldElement.  mul, add and neg act elementwise on index
+    arrays of any shape.
     """
 
     p: int
@@ -326,16 +327,19 @@ class FieldTables:
     def mul(self, a, b) -> np.ndarray:
         return self.antilog[self.log[a] + self.log[b]]
 
-    def code_sum(self, x, y) -> np.ndarray:
+    def _code_sum(self, x, y) -> np.ndarray:
         """Code of a + b from the codes x, y of a and b; fold maps it to an index."""
         return np.bitwise_xor(x, y) if self.p == 2 else x + y
 
     def add(self, a, b) -> np.ndarray:
-        if self.p == 2:
-            return np.bitwise_xor(a, b)  # the code is the index and fold the identity
-        if self.p == self.q:
-            return self.fold[a + b]  # the code is the identity on a prime field
-        return self.fold[self.code[a] + self.code[b]]
+        return self.fold[self._code_sum(self.code[a], self.code[b])]
+
+    def neg(self, a) -> np.ndarray:
+        return self.mul(self.p - 1, a)  # -1 has digit 0 equal to p - 1, the rest 0
+
+    def sum_test(self, members: np.ndarray) -> SumTest:
+        """Test of a + b against the elements where the boolean mask members holds."""
+        return SumTest(self, members[self.fold])
 
     def element_of_order(self, t: int) -> int:
         """Index of the first element of multiplicative order exactly t; t | q-1."""
@@ -346,6 +350,25 @@ class FieldTables:
     def subgroup(self, h: int, t: int) -> np.ndarray:
         """Indices of 1, h, ..., h^(t-1) for an element h of order t."""
         return self.antilog[np.arange(t) * int(self.log[h]) % (self.q - 1)]
+
+
+@dataclass(frozen=True)
+class SumTest:
+    """Whether a + b lies in a fixed set of field elements, for many pairs.
+
+    encode turns element indices into additive codes, and the test of two
+    codes is one add and one gather.  Encode each operand once, or encode a
+    table such as antilog and gather from it, then test many pairs.
+    """
+
+    tab: FieldTables
+    hit: np.ndarray  # per code sum: whether the element it folds to is a member
+
+    def encode(self, a) -> np.ndarray:
+        return self.tab.code[a]
+
+    def __call__(self, x, y) -> np.ndarray:
+        return self.hit[self.tab._code_sum(x, y)]
 
 
 @functools.lru_cache(maxsize=128)

@@ -594,6 +594,18 @@ def test_table_arithmetic_matches_field_spec(q):
     assert all(tab.elements[i] == f.element(i) for i in range(q)) and len(tab.elements) == q
 
 
+@pytest.mark.parametrize("q", _prime_powers(32))
+def test_table_neg_and_sum_test_match_field_spec(q):
+    f = field_from_order(q)
+    tab = field_tables(f)
+    x = np.arange(q)
+    assert tab.neg(x).tolist() == [f.index(f.neg(f.element(i))) for i in range(q)]
+    a, b = np.divmod(np.arange(q * q), q)
+    for members in (x % 3 == 0, np.isin(x, tab.subgroup(tab.element_of_order(q - 1), q - 1))):
+        test = tab.sum_test(members)
+        assert np.array_equal(test(test.encode(a), test.encode(b)), members[tab.add(a, b)])
+
+
 @pytest.mark.parametrize("q", [q for q in _prime_powers(729) if q % 2 and q not in prime_factors(q)])
 def test_table_addition_matches_digit_loop(q):
     f = field_from_order(q)
