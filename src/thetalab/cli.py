@@ -126,6 +126,8 @@ def cmd_theta(args) -> int:
 
 def cmd_spectrum(args) -> int:
     g = _load(args.graph, graph_from_json, "graph")
+    if g.n == 0:
+        raise PreconditionViolated("graph must have at least one vertex")
     spec = eigen_sym(adjacency_sym(g))
     if args.json:
         _emit({"n": g.n,

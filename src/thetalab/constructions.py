@@ -10,23 +10,26 @@ elements, so a block needs its rows' products only with every element and,
 for the scaling classes, with the coset minima, computed from discrete logs
 gathered once per graph.  Each entry then costs one add of two additive codes and one gather of a
 table that marks the code sums in the subgroup (scaling classes), or one
-comparison of x·x' + y·y' with -z·z' (polarity).  Both check the vertex
-count against CONSTRUCTION_N_CAP before building the field.
+comparison of x·x' + y·y' with -z·z' (polarity).  The rows are packed once
+and the graph carries them, so the codegree search does not pack them
+again.  Both check the vertex count against CONSTRUCTION_N_CAP before
+building the field.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ComplexityRefused, OrderUnavailable
 from .ffield import FieldElement, field_from_order, field_tables, order_split, require_order
-from .graph import GRAPH_N_CAP, Graph, from_edges
+from .graph import GRAPH_N_CAP, Graph, _from_packed, refuse_above_vertex_cap
 from .linalg import adjacency_dense
 
 # largest vertex count a field construction builds, the graph vertex cap;
-# its bitset rows alone take n^2/8 bytes
+# its bitset rows and their packed copy take n^2/8 bytes each
 CONSTRUCTION_N_CAP = GRAPH_N_CAP
 # entries per block of rows of a construction's adjacency mask: 64-128 KB
 # per temporary
@@ -40,16 +43,29 @@ class FurediGraph:
     classes holds one canonical pair (a, b) per vertex, the smallest member
     of its scaling orbit in field enumeration order.  scaling_subgroup is
     the order-t multiplicative subgroup used both for the orbits and for
-    the adjacency rule.  loops_removed lists vertices whose defining dot
-    product with themselves landed in the subgroup.
+    the adjacency rule.  Both are computed on first access from the stored
+    element indices: class_indices holds the indices of every vertex's a,
+    then of every vertex's b, and subgroup_indices those of the subgroup.
+    loops_removed lists vertices whose defining dot product with themselves
+    landed in the subgroup.
     """
 
     graph: Graph
     q: int
     t: int
-    classes: tuple[tuple[FieldElement, FieldElement], ...]
-    scaling_subgroup: tuple[FieldElement, ...]
+    class_indices: tuple[tuple[int, ...], tuple[int, ...]]
+    subgroup_indices: tuple[int, ...]
     loops_removed: tuple[int, ...]
+
+    @functools.cached_property
+    def classes(self) -> tuple[tuple[FieldElement, FieldElement], ...]:
+        elements = field_tables(field_from_order(self.q)).elements
+        return tuple((elements[a], elements[b]) for a, b in zip(*self.class_indices))
+
+    @functools.cached_property
+    def scaling_subgroup(self) -> tuple[FieldElement, ...]:
+        elements = field_tables(field_from_order(self.q)).elements
+        return tuple(elements[i] for i in self.subgroup_indices)
 
 
 def _refuse_above_cap(name: str, n: int) -> None:
@@ -57,16 +73,25 @@ def _refuse_above_cap(name: str, n: int) -> None:
         raise ComplexityRefused(f"{name} has n = {n} vertices, above the construction cap {CONSTRUCTION_N_CAP}")
 
 
-def _bitset_rows(n: int, block_mask) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Bitset rows of a symmetric relation, plus the vertices related to themselves.
+@functools.lru_cache(maxsize=128)
+def _index_names(q: int) -> np.ndarray:
+    """The element indices 0..q-1 as decimal strings, the parts of a label."""
+    names = np.array([str(i) for i in range(q)], dtype=object)
+    names.flags.writeable = False
+    return names
+
+
+def _bitset_rows(n: int, block_mask) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Packed rows of a symmetric relation, plus the vertices related to themselves.
 
     block_mask(s, e) returns the (e - s, n) boolean mask of rows s..e-1,
-    diagonal included; the diagonal is reported as loops and cleared.
+    diagonal included; the diagonal is reported as loops and cleared.  The
+    rows come back as an (n, ceil(n/8)) uint8 array, bits little-endian,
+    the form graph._from_packed takes.
     """
-    rows: list[int] = []
+    packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
     loops: list[int] = []
     step = max(1, BLOCK_ENTRIES // n)
-    width = (n + 7) // 8
     for s in range(0, n, step):
         e = min(s + step, n)
         mask = block_mask(s, e)
@@ -74,9 +99,8 @@ def _bitset_rows(n: int, block_mask) -> tuple[tuple[int, ...], tuple[int, ...]]:
         diag = mask[local, local + s]
         loops.extend((local[diag] + s).tolist())
         mask[local, local + s] = False
-        packed = np.packbits(mask, axis=1, bitorder="little").tobytes()
-        rows.extend(int.from_bytes(packed[k : k + width], "little") for k in range(0, len(packed), width))
-    return tuple(rows), tuple(loops)
+        packed[s:e] = np.packbits(mask, axis=1, bitorder="little")
+    return packed, tuple(loops)
 
 
 def furedi_graph(q: int, t: int) -> FurediGraph:
@@ -128,12 +152,11 @@ def furedi_graph(q: int, t: int) -> FurediGraph:
         grid = sum_in_sub(am[:, :, None], bb[:, None, :])
         return np.concatenate([head, grid.reshape(e - s, -1)], axis=1)
 
-    rows, loops = _bitset_rows(n, block_mask)
-    pairs = list(zip(a.tolist(), b.tolist()))
-    elements = tab.elements
-    labels = tuple(f"{x}:{y}" for x, y in pairs)
-    classes = tuple((elements[x], elements[y]) for x, y in pairs)
-    return FurediGraph(Graph(n, rows, labels), q, t, classes, tuple(elements[i] for i in sub.tolist()), loops)
+    packed, loops = _bitset_rows(n, block_mask)
+    names = _index_names(q)
+    labels = tuple(map(":".join, zip(names[a].tolist(), names[b].tolist())))
+    class_indices = (tuple(a.tolist()), tuple(b.tolist()))
+    return FurediGraph(_from_packed(packed, labels), q, t, class_indices, tuple(sub.tolist()), loops)
 
 
 @dataclass(frozen=True)
@@ -200,9 +223,10 @@ def polarity_graph_with_loops(q: int) -> tuple[Graph, tuple[int, ...]]:
         grid = xy[:, :, None] == neg_zz[:, None, :]
         return np.concatenate([grid.reshape(e - s, -1), neg_zz == y[s:e, None], z[s:e, None] == 0], axis=1)
 
-    rows, absolute = _bitset_rows(n, block_mask)
-    labels = tuple(f"{u}:{v}:{w}" for u, v, w in zip(x.tolist(), y.tolist(), z.tolist()))
-    return Graph(n, rows, labels), absolute
+    packed, absolute = _bitset_rows(n, block_mask)
+    names = _index_names(q)
+    labels = tuple(map(":".join, zip(names[x].tolist(), names[y].tolist(), names[z].tolist())))
+    return _from_packed(packed, labels), absolute
 
 
 def polarity_graph(q: int) -> Graph:
@@ -211,14 +235,21 @@ def polarity_graph(q: int) -> Graph:
 
 
 def clique_union(n: int, t: int) -> Graph:
-    """Disjoint union of ceil(n/t) cliques: all of size t except a short last one."""
+    """Disjoint union of ceil(n/t) cliques: all of size t except a short last one.
+
+    n above GRAPH_N_CAP is refused with ComplexityRefused before any row is
+    built.  The row of v in the part start..stop-1 is the bits start..stop-1
+    without v's own.
+    """
     if n < 1 or t < 1:
         raise ValueError("need n >= 1 and t >= 1")
-    edges = []
+    refuse_above_vertex_cap(n)
+    rows = []
     for start in range(0, n, t):
-        part = range(start, min(start + t, n))
-        edges.extend((u, v) for u in part for v in part if u < v)
-    return from_edges(n, edges)
+        stop = min(start + t, n)
+        part = (1 << stop) - (1 << start)
+        rows.extend(part - (1 << v) for v in range(start, stop))
+    return Graph(n, tuple(rows))
 
 
 def clique_union_parts(n: int, t: int) -> tuple[tuple[int, ...], ...]:

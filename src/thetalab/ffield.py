@@ -312,8 +312,9 @@ class FieldTables:
     p = 2), and sum_test folds a membership test into that gather.  The
     largest fold under the construction cap is 5^9 entries, about 16 MB,
     for q = 3^9; every other table has O(q) entries.  elements[i] is
-    element i as a FieldElement.  mul, add and neg act elementwise on index
-    arrays of any shape.
+    element i as a FieldElement, and order[i] its multiplicative order
+    (order[0] = 0).  mul, add and neg act elementwise on index arrays of any
+    shape.
     """
 
     p: int
@@ -323,6 +324,7 @@ class FieldTables:
     code: np.ndarray
     fold: np.ndarray
     elements: tuple[FieldElement, ...]
+    order: np.ndarray
 
     def mul(self, a, b) -> np.ndarray:
         return self.antilog[self.log[a] + self.log[b]]
@@ -344,8 +346,7 @@ class FieldTables:
     def element_of_order(self, t: int) -> int:
         """Index of the first element of multiplicative order exactly t; t | q-1."""
         require_order(self.q, t)
-        orders = (self.q - 1) // np.gcd(self.log[1:], self.q - 1)
-        return int(np.argmax(orders == t)) + 1
+        return int(np.argmax(self.order == t))
 
     def subgroup(self, h: int, t: int) -> np.ndarray:
         """Indices of 1, h, ..., h^(t-1) for an element h of order t."""
@@ -373,7 +374,7 @@ class SumTest:
 
 @functools.lru_cache(maxsize=128)
 def field_tables(spec: FieldSpec) -> FieldTables:
-    """Log/antilog, code/fold and element tables of a field, built with
+    """Log/antilog, code/fold, element and order tables of a field, built with
     FieldSpec arithmetic and kept for the 128 most recently used fields."""
     p, q = spec.p, spec.q
     g = element_of_order(spec, q - 1)
@@ -393,7 +394,10 @@ def field_tables(spec: FieldSpec) -> FieldTables:
     for k in range(spec.alpha):  # digit k is the slowest axis of both tables
         code = (np.arange(p, dtype=np.intp)[:, None] * w**k + code).ravel()
         fold = (np.arange(w, dtype=np.intp)[:, None] % p * p**k + fold).ravel()
-    for table in (log, antilog, code, fold):
+    # g^k has order (q - 1)/gcd(k, q - 1); zero gets 0, which no t >= 1 matches
+    order = np.zeros(q, dtype=np.intp)
+    order[1:] = (q - 1) // np.gcd(log[1:], q - 1)
+    for table in (log, antilog, code, fold, order):
         table.flags.writeable = False  # shared by every caller through the cache
     elements = tuple(FieldElement(c[::-1]) for c in itertools.product(range(p), repeat=spec.alpha))
-    return FieldTables(p, q, log, antilog, code, fold, elements)
+    return FieldTables(p, q, log, antilog, code, fold, elements, order)

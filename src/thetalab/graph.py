@@ -10,6 +10,7 @@ ComplexityRefused instead of silently degrading.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, repeat
 from math import comb
 
 import numpy as np
@@ -25,7 +26,8 @@ from .errors import (
 BICLIQUE_SUBSET_CAP = 10**7
 CHROMATIC_N_CAP = 40
 # largest vertex count from_edges builds: the bitset rows alone take n^2/8
-# bytes, and the codegree search packs them once more
+# bytes, and the codegree search packs them once more (or reads the packed
+# copy a construction carries)
 GRAPH_N_CAP = 20_000
 # rows of A per codegree tile, unpacked from one packed copy of the rows
 TILE_ROWS = 256
@@ -41,11 +43,18 @@ def _bits(x: int):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple graph: n vertices 0..n-1, adjacency as n bitset rows."""
+    """Simple graph: n vertices 0..n-1, adjacency as n bitset rows.
+
+    A graph made by _from_packed also carries its rows as the read-only
+    (n, ceil(n/8)) uint8 array they were made from, so the codegree search
+    need not pack them again.  The array is no constructor argument and
+    takes no part in equality, hashing or repr.
+    """
 
     n: int
     adj: tuple[int, ...]
     labels: tuple[str, ...] | None = None
+    _packed: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -67,8 +76,30 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u] >> (u + 1) << (u + 1))]
 
 
+def _from_packed(packed: np.ndarray, labels: tuple[str, ...] | None = None) -> Graph:
+    """The graph whose bitset rows are the rows of an (n, ceil(n/8)) uint8
+    array, bits little-endian, carrying that array read-only.
+
+    The array must hold a simple graph: symmetric, zero diagonal, zero
+    padding bits.  The ints are made TILE_ROWS rows at a time, so the bytes
+    objects in flight take O(TILE_ROWS * n) bits, not another n^2.
+    """
+    n, width = packed.shape
+    rows = packed.view(np.dtype((np.void, width))).ravel()  # tolist() gives one bytes object per row
+    adj: list[int] = []
+    for s in range(0, n, TILE_ROWS):
+        adj.extend(map(int.from_bytes, rows[s : s + TILE_ROWS].tolist(), repeat("little")))
+    g = Graph(n, tuple(adj), labels)
+    packed.flags.writeable = False
+    object.__setattr__(g, "_packed", packed)
+    return g
+
+
 def _packed_rows(g: Graph) -> np.ndarray:
-    """The bitset rows as an (n, ceil(n/8)) uint8 array, bits little-endian."""
+    """The bitset rows as an (n, ceil(n/8)) uint8 array, bits little-endian:
+    the carried array if there is one, else packed from adj."""
+    if g._packed is not None:
+        return g._packed
     width = (g.n + 7) // 8
     packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.adj), dtype=np.uint8)
     return packed.reshape(g.n, width)
@@ -79,6 +110,12 @@ def adjacency_rows(g: Graph) -> np.ndarray:
     return np.unpackbits(_packed_rows(g), axis=1, count=g.n, bitorder="little")
 
 
+def refuse_above_vertex_cap(n: int) -> None:
+    """Raise ComplexityRefused if n exceeds GRAPH_N_CAP."""
+    if n > GRAPH_N_CAP:
+        raise ComplexityRefused(f"n = {n} vertices, above the vertex cap {GRAPH_N_CAP}")
+
+
 def from_edges(n: int, edges, labels=None) -> Graph:
     """Build a simple graph; duplicate edges collapse, loops are rejected.
 
@@ -87,8 +124,7 @@ def from_edges(n: int, edges, labels=None) -> Graph:
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    if n > GRAPH_N_CAP:
-        raise ComplexityRefused(f"n = {n} vertices, above the vertex cap {GRAPH_N_CAP}")
+    refuse_above_vertex_cap(n)
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -232,8 +268,6 @@ def contains_complete_bipartite(g: Graph, t: int, s: int, cap: int = BICLIQUE_SU
     (BICLIQUE_SUBSET_CAP by default) still refuses C(n, t) > cap before
     any work, t = 2 included.
     """
-    from itertools import combinations
-
     if not 1 <= t <= s:
         raise PreconditionViolated("need 1 <= t <= s")
     n, adj = g.n, g.adj

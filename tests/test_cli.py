@@ -208,6 +208,10 @@ def test_bad_parameters_exit_two(capsys, argv, needle):
     (["construct", "polarity", "--q", "1073741824"], "n = 1152921505680588801 vertices, above the construction cap"),
     (["construct", "polarity", "--q", "1162261467"], "n = 1350851718835253557 vertices, above the construction cap"),
     (["construct", "furedi", "--q", "1162261467", "--t", "2"], "n = 675425858836496044 vertices, above the construction cap"),
+    # refused before any row is built
+    (["construct", "cliques", "--n", "99999999999", "--t", "1"], "n = 99999999999 vertices, above the vertex cap 20000"),
+    # a 0-vertex graph has no spectrum; this ended in a ValueError traceback
+    (["spectrum", "--graph", "{zero_n}"], "graph must have at least one vertex"),
 ])
 def test_refused_inputs_exit_two(tmp_path, capsys, args, needle):
     files = {"c5": write_graph(tmp_path / "c5.json", cycle_graph(5)), "rep": str(tmp_path / "rep.json")}
@@ -217,7 +221,7 @@ def test_refused_inputs_exit_two(tmp_path, capsys, args, needle):
                           ("overflow_entry", [[1.7e308], [1.0]])):
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps({"d": 1, "vectors": vectors, "graph": {"n": 2, "edges": [[0, 1]]}}))
-    for name, n in (("huge_n", 10**23), ("billion_n", 10**9)):
+    for name, n in (("huge_n", 10**23), ("billion_n", 10**9), ("zero_n", 0)):
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps({"n": n, "edges": []}))
     code, out, err = run(capsys, [a.format(**files) for a in args])

@@ -23,14 +23,16 @@ from hypothesis import strategies as st
 from thetalab import constructions as constructions_module
 from thetalab import graph as graph_module
 from thetalab import linalg as linalg_module
-from thetalab.constructions import furedi_graph, polarity_graph, polarity_graph_with_loops
+from thetalab.constructions import clique_union, furedi_graph, polarity_graph, polarity_graph_with_loops
 from thetalab.errors import ConvergenceFailure, PreconditionViolated
 from thetalab.experiments import _cycle_free_graph, _edge_positions, _layers_3_colorable
 from thetalab.ffield import element_of_order, field_from_order, field_tables, prime_factors, subgroup
 from thetalab.graph import (
     Graph,
     _bits,
+    _packed_rows,
     chromatic_number_exact,
+    complement,
     contains_complete_bipartite,
     contains_cycle,
     empty_graph,
@@ -157,6 +159,30 @@ def furedi_graph_loop(q, t):
     loops = tuple(u for u in range(n) if dot(classes[u], classes[u]) in sub_set)
     labels = tuple(f"{f.index(a)}:{f.index(b)}" for a, b in classes)
     return from_edges(n, edges, labels=labels), loops, tuple(classes), sub
+
+
+def packed_rows_join(g):
+    """The bitset rows as an (n, ceil(n/8)) uint8 array, one to_bytes per row."""
+    width = (g.n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.adj), dtype=np.uint8)
+    return packed.reshape(g.n, width)
+
+
+def clique_union_edges(n, t):
+    """Disjoint union of ceil(n/t) cliques from its edge list."""
+    edges = []
+    for start in range(0, n, t):
+        part = range(start, min(start + t, n))
+        edges.extend((u, v) for u in part for v in part if u < v)
+    return from_edges(n, edges)
+
+
+def multiplicative_order_loop(f, a):
+    """Smallest k >= 1 with a^k = 1, by repeated multiplication."""
+    k, x = 1, a
+    while x != f.one:
+        x, k = f.mul(x, a), k + 1
+    return k
 
 
 def add_digit_loop(p, alpha, a, b):
@@ -582,6 +608,64 @@ def test_constructions_match_loop_one_row_per_block(monkeypatch):
         assert polarity_graph_with_loops(q) == polarity_graph_loop(q)
 
 
+# the construct-search corpus: every furedi(q, t) with n <= 200, polarity(q) for q <= 19
+CORPUS = ([("furedi", q, t) for q in _prime_powers(200) for t in range(1, q) if (q - 1) % t == 0 and (q * q - 1) // t <= 200]
+          + [("polarity", q, None) for q in _prime_powers(19)])
+
+
+def _corpus_graph(family, q, t):
+    return furedi_graph(q, t).graph if family == "furedi" else polarity_graph(q)
+
+
+@pytest.mark.parametrize("block_entries", [constructions_module.BLOCK_ENTRIES, 1], ids=["default-blocks", "one-row-blocks"])
+def test_carried_rows_match_repack(monkeypatch, block_entries):
+    monkeypatch.setattr(constructions_module, "BLOCK_ENTRIES", block_entries)
+    assert len(CORPUS) == 136
+    for case in CORPUS:
+        g = _corpus_graph(*case)
+        assert g._packed is not None and _packed_rows(g) is g._packed
+        assert same_bits(g._packed, packed_rows_join(g)), case
+
+
+def test_carried_rows_are_read_only():
+    g = furedi_graph(5, 2).graph
+    assert not g._packed.flags.writeable
+    with pytest.raises(ValueError):
+        g._packed[0, 0] = 1
+
+
+def test_derived_graphs_carry_no_rows():
+    g = polarity_graph(5)
+    derived = (complement(g), induced_subgraph(g, range(0, g.n, 2)), from_edges(g.n, g.edges(), g.labels),
+               clique_union(10, 3))
+    for h in derived:
+        assert h._packed is None
+        assert same_bits(_packed_rows(h), packed_rows_join(h))
+
+
+def test_graph_equality_hash_and_repr_ignore_carried_rows():
+    for g in (furedi_graph(7, 3).graph, polarity_graph(4)):
+        plain = from_edges(g.n, g.edges(), g.labels)
+        assert g._packed is not None and plain._packed is None
+        assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
+        assert "_packed" not in repr(g)
+
+
+def test_furedi_graph_equality_ignores_computed_fields():
+    fg, again = furedi_graph(9, 4), furedi_graph(9, 4)
+    assert fg == again and hash(fg) == hash(again)
+    assert fg.classes and fg.scaling_subgroup  # computed on fg only
+    assert fg == again and hash(fg) == hash(again)
+    assert fg != furedi_graph(9, 2)
+    with pytest.raises(AttributeError):
+        fg.q = 3
+
+
+@pytest.mark.parametrize("n, t", [(1, 1), (1, 5), (7, 1), (10, 3), (12, 4), (13, 5), (64, 8), (65, 64), (200, 7)])
+def test_clique_union_matches_edge_list(n, t):
+    assert clique_union(n, t) == clique_union_edges(n, t)
+
+
 @pytest.mark.parametrize("q", _prime_powers(64))
 def test_table_arithmetic_matches_field_spec(q):
     f = field_from_order(q)
@@ -592,6 +676,8 @@ def test_table_arithmetic_matches_field_spec(q):
     assert tab.mul(a, b).tolist() == expected_mul
     assert tab.add(a, b).tolist() == expected_add
     assert all(tab.elements[i] == f.element(i) for i in range(q)) and len(tab.elements) == q
+    assert tab.order[0] == 0
+    assert tab.order[1:].tolist() == [multiplicative_order_loop(f, f.element(i)) for i in range(1, q)]
 
 
 @pytest.mark.parametrize("q", _prime_powers(32))
