@@ -10,10 +10,9 @@ elements, so a block needs its rows' products only with every element and,
 for the scaling classes, with the coset minima, computed from discrete logs
 gathered once per graph.  Each entry then costs one add of two additive codes and one gather of a
 table that marks the code sums in the subgroup (scaling classes), or one
-comparison of x·x' + y·y' with -z·z' (polarity).  The rows are packed once
-and the graph carries them, so the codegree search does not pack them
-again.  Both check the vertex count against CONSTRUCTION_N_CAP before
-building the field.
+comparison of x·x' + y·y' with -z·z' (polarity).  graph.from_row_blocks
+packs the blocks into the graph's packed rows as they come.  Both check
+the vertex count against CONSTRUCTION_N_CAP before building the field.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import ComplexityRefused, OrderUnavailable
 from .ffield import FieldElement, field_from_order, field_tables, order_split, require_order
-from .graph import GRAPH_N_CAP, Graph, _from_packed, refuse_above_vertex_cap
+from .graph import GRAPH_N_CAP, Graph, from_row_blocks, refuse_above_vertex_cap
 from .linalg import adjacency_dense
 
 # largest vertex count a field construction builds, the graph vertex cap;
@@ -81,26 +80,28 @@ def _index_names(q: int) -> np.ndarray:
     return names
 
 
-def _bitset_rows(n: int, block_mask) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Packed rows of a symmetric relation, plus the vertices related to themselves.
+def _relation_graph(n: int, block_mask, labels: tuple[str, ...]) -> tuple[Graph, tuple[int, ...]]:
+    """The simple graph of a symmetric relation, plus the vertices related to themselves.
 
     block_mask(s, e) returns the (e - s, n) boolean mask of rows s..e-1,
-    diagonal included; the diagonal is reported as loops and cleared.  The
-    rows come back as an (n, ceil(n/8)) uint8 array, bits little-endian,
-    the form graph._from_packed takes.
+    diagonal included, for blocks of about BLOCK_ENTRIES entries; the
+    diagonal is reported as loops and cleared.
     """
-    packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
     loops: list[int] = []
     step = max(1, BLOCK_ENTRIES // n)
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        mask = block_mask(s, e)
-        local = np.arange(e - s)
-        diag = mask[local, local + s]
-        loops.extend((local[diag] + s).tolist())
-        mask[local, local + s] = False
-        packed[s:e] = np.packbits(mask, axis=1, bitorder="little")
-    return packed, tuple(loops)
+
+    def blocks():
+        for s in range(0, n, step):
+            e = min(s + step, n)
+            mask = block_mask(s, e)
+            local = np.arange(e - s)
+            diag = mask[local, local + s]
+            loops.extend((local[diag] + s).tolist())
+            mask[local, local + s] = False
+            yield mask
+
+    g = from_row_blocks(n, blocks(), labels)
+    return g, tuple(loops)
 
 
 def furedi_graph(q: int, t: int) -> FurediGraph:
@@ -152,11 +153,11 @@ def furedi_graph(q: int, t: int) -> FurediGraph:
         grid = sum_in_sub(am[:, :, None], bb[:, None, :])
         return np.concatenate([head, grid.reshape(e - s, -1)], axis=1)
 
-    packed, loops = _bitset_rows(n, block_mask)
     names = _index_names(q)
     labels = tuple(map(":".join, zip(names[a].tolist(), names[b].tolist())))
+    g, loops = _relation_graph(n, block_mask, labels)
     class_indices = (tuple(a.tolist()), tuple(b.tolist()))
-    return FurediGraph(_from_packed(packed, labels), q, t, class_indices, tuple(sub.tolist()), loops)
+    return FurediGraph(g, q, t, class_indices, tuple(sub.tolist()), loops)
 
 
 @dataclass(frozen=True)
@@ -223,10 +224,9 @@ def polarity_graph_with_loops(q: int) -> tuple[Graph, tuple[int, ...]]:
         grid = xy[:, :, None] == neg_zz[:, None, :]
         return np.concatenate([grid.reshape(e - s, -1), neg_zz == y[s:e, None], z[s:e, None] == 0], axis=1)
 
-    packed, absolute = _bitset_rows(n, block_mask)
     names = _index_names(q)
     labels = tuple(map(":".join, zip(names[x].tolist(), names[y].tolist(), names[z].tolist())))
-    return _from_packed(packed, labels), absolute
+    return _relation_graph(n, block_mask, labels)
 
 
 def polarity_graph(q: int) -> Graph:

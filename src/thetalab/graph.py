@@ -9,6 +9,8 @@ ComplexityRefused instead of silently degrading.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
 from math import comb
@@ -26,10 +28,10 @@ from .errors import (
 BICLIQUE_SUBSET_CAP = 10**7
 CHROMATIC_N_CAP = 40
 # largest vertex count from_edges builds: the bitset rows alone take n^2/8
-# bytes, and the codegree search packs them once more (or reads the packed
-# copy a construction carries)
+# bytes, and Graph.packed holds them once more once it is read
 GRAPH_N_CAP = 20_000
-# rows of A per codegree tile, unpacked from one packed copy of the rows
+# rows of A per codegree tile, unpacked from Graph.packed, and per batch of
+# row ints made by from_row_blocks
 TILE_ROWS = 256
 
 
@@ -43,18 +45,22 @@ def _bits(x: int):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple graph: n vertices 0..n-1, adjacency as n bitset rows.
-
-    A graph made by _from_packed also carries its rows as the read-only
-    (n, ceil(n/8)) uint8 array they were made from, so the codegree search
-    need not pack them again.  The array is no constructor argument and
-    takes no part in equality, hashing or repr.
-    """
+    """Simple graph: n vertices 0..n-1, adjacency as n bitset rows."""
 
     n: int
     adj: tuple[int, ...]
     labels: tuple[str, ...] | None = None
-    _packed: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def packed(self) -> np.ndarray:
+        """The bitset rows as a read-only (n, ceil(n/8)) uint8 array, bits
+        little-endian, packed on first access (or by from_row_blocks).
+
+        A cached value, not a field: equality, hashing and repr ignore it.
+        """
+        width = (self.n + 7) // 8
+        rows = b"".join(r.to_bytes(width, "little") for r in self.adj)
+        return np.frombuffer(rows, dtype=np.uint8).reshape(self.n, width)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -76,38 +82,33 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u] >> (u + 1) << (u + 1))]
 
 
-def _from_packed(packed: np.ndarray, labels: tuple[str, ...] | None = None) -> Graph:
-    """The graph whose bitset rows are the rows of an (n, ceil(n/8)) uint8
-    array, bits little-endian, carrying that array read-only.
+def from_row_blocks(n: int, blocks, labels: tuple[str, ...] | None = None) -> Graph:
+    """The graph whose adjacency rows arrive as consecutive boolean blocks.
 
-    The array must hold a simple graph: symmetric, zero diagonal, zero
-    padding bits.  The ints are made TILE_ROWS rows at a time, so the bytes
-    objects in flight take O(TILE_ROWS * n) bits, not another n^2.
+    blocks yields (k, n) boolean arrays, rows 0..n-1 in order, of a
+    symmetric relation with a clear diagonal.  Each block is packed as it
+    arrives, and the row ints are made from the packed rows TILE_ROWS rows
+    at a time, so the bytes objects in flight take O(TILE_ROWS * n) bits,
+    not another n^2.  The graph starts with Graph.packed already set.
     """
-    n, width = packed.shape
-    rows = packed.view(np.dtype((np.void, width))).ravel()  # tolist() gives one bytes object per row
+    packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+    s = 0
+    for block in blocks:
+        packed[s : s + len(block)] = np.packbits(block, axis=1, bitorder="little")
+        s += len(block)
+    packed.flags.writeable = False
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()  # tolist() gives one bytes object per row
     adj: list[int] = []
     for s in range(0, n, TILE_ROWS):
         adj.extend(map(int.from_bytes, rows[s : s + TILE_ROWS].tolist(), repeat("little")))
     g = Graph(n, tuple(adj), labels)
-    packed.flags.writeable = False
-    object.__setattr__(g, "_packed", packed)
+    vars(g)["packed"] = packed  # the cache slot of Graph.packed
     return g
-
-
-def _packed_rows(g: Graph) -> np.ndarray:
-    """The bitset rows as an (n, ceil(n/8)) uint8 array, bits little-endian:
-    the carried array if there is one, else packed from adj."""
-    if g._packed is not None:
-        return g._packed
-    width = (g.n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.adj), dtype=np.uint8)
-    return packed.reshape(g.n, width)
 
 
 def adjacency_rows(g: Graph) -> np.ndarray:
     """The adjacency matrix as a 0/1 uint8 array."""
-    return np.unpackbits(_packed_rows(g), axis=1, count=g.n, bitorder="little")
+    return np.unpackbits(g.packed, axis=1, count=g.n, bitorder="little")
 
 
 def refuse_above_vertex_cap(n: int) -> None:
@@ -177,12 +178,12 @@ def _codegree_reaches(g: Graph, s: int) -> bool:
 
     Common-neighbour counts are the off-diagonal entries of A·A.  They are
     computed one tile pair i <= j at a time, each tile TILE_ROWS rows of A
-    unpacked as float32 from one packed copy of the rows, so no n x n
-    matrix is held: the extra memory is n^2/8 bytes plus O(TILE_ROWS * n).
+    unpacked as float32 from g.packed, so no n x n matrix is held: the
+    extra memory is n^2/8 bytes plus O(TILE_ROWS * n).
     float32 is exact here: every partial sum is an integer <= n < 2^24.
     """
     n = g.n
-    packed = _packed_rows(g)
+    packed = g.packed
 
     def tile(i):
         return np.unpackbits(packed[i : i + TILE_ROWS], axis=1, count=n, bitorder="little").astype(np.float32)
@@ -483,29 +484,21 @@ def layer_chromatic_check(g: Graph, k: int) -> LayerColoringReport:
 
 
 def parse_pattern(text: str):
-    """Parse a forbidden-pattern name: C<k>, K<t>, or K<t>,<s>."""
+    """Parse a forbidden-pattern name: C<k>, K<t>, or K<t>,<s>.
+
+    Each number is ASCII digits only; int() alone would also take signs,
+    spaces, underscores and other scripts' digits.
+    """
     text = text.strip().upper()
-    try:
-        if text.startswith("C"):
-            k = int(text[1:])
-            if k < 3:
-                raise ValueError
-            return ("cycle", k)
-        if text.startswith("K"):
-            body = text[1:]
-            if "," in body:
-                t, s = (int(x) for x in body.split(","))
-                if not 1 <= t <= s:
-                    t, s = min(t, s), max(t, s)
-                if t < 1:
-                    raise ValueError
-                return ("biclique", (t, s))
-            t = int(body)
-            if t < 1:
-                raise ValueError
-            return ("clique", t)
-    except ValueError:
-        pass
+    m = re.fullmatch(r"C([0-9]+)|K([0-9]+)(?:,([0-9]+))?", text)
+    if m and m[1] and int(m[1]) >= 3:
+        return ("cycle", int(m[1]))
+    if m and m[3]:
+        t, s = sorted((int(m[2]), int(m[3])))
+        if t >= 1:
+            return ("biclique", (t, s))
+    elif m and m[2] and int(m[2]) >= 1:
+        return ("clique", int(m[2]))
     raise UnsupportedPattern(f"unrecognized pattern {text!r}; use C<k>, K<t>, or K<t>,<s>")
 
 

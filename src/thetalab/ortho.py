@@ -64,6 +64,13 @@ def validate_rep(rep: OrthoRep, g: Graph, tol: float = 1e-8) -> RepValidation:
     return RepValidation(worst <= tol, worst)
 
 
+def require_valid_rep(rep: OrthoRep, g: Graph) -> None:
+    """Raise RepInvalid unless rep validates against g at validate_rep's default tolerance."""
+    check = validate_rep(rep, g)
+    if not check.ok:
+        raise RepInvalid(f"rep residual {check.max_residual} exceeds tolerance")
+
+
 def gram(rep: OrthoRep) -> SymMatrix:
     """Gram matrix of the representation's vectors; PreconditionViolated if
     it overflows float64."""
@@ -259,9 +266,7 @@ def msr_lower_chain_check(rep: OrthoRep, g: Graph, t: int, tol: float = 1e-8) ->
     """
     if t < 1:
         raise PreconditionViolated(f"msr chain needs t >= 1, got {t}")
-    check = validate_rep(rep, g)
-    if not check.ok:
-        raise RepInvalid(f"rep residual {check.max_residual} exceeds tolerance")
+    require_valid_rep(rep, g)
     m = gram(rep)
     t2 = trace_power(m, 2)
     n = g.n
@@ -284,6 +289,24 @@ class TracePowerReport:
     lam_ok: bool
 
 
+def require_cycle_free(g: Graph, parity: str, t: int) -> int:
+    """The cycle length 2t+1 (odd parity, t >= 1) or 2t (even parity, t >= 2)
+    of a cycle-freeness bound; PreconditionViolated if g contains that cycle."""
+    if parity == "odd":
+        if t < 1:
+            raise PreconditionViolated("odd parity needs t >= 1")
+        cycle_len = 2 * t + 1
+    elif parity == "even":
+        if t < 2:
+            raise PreconditionViolated("even parity needs t >= 2")
+        cycle_len = 2 * t
+    else:
+        raise PreconditionViolated(f"parity must be odd or even, got {parity!r}")
+    if contains_cycle(g, cycle_len):
+        raise PreconditionViolated(f"graph contains a {cycle_len}-cycle")
+    return cycle_len
+
+
 def trace_power_certificate(rep: OrthoRep, g: Graph, t: int, parity: str) -> TracePowerReport:
     """Trace-power bound for reps of cycle-free graphs.
 
@@ -291,25 +314,9 @@ def trace_power_certificate(rep: OrthoRep, g: Graph, t: int, parity: str) -> Tra
     even parity: g must be C_{2t}-free, then tr(M^{2t}) <= (12t)^{2t} n.
     Both imply a top-eigenvalue bound of bound^(1/power).
     """
-    if parity not in ("odd", "even"):
-        raise PreconditionViolated(f"parity must be odd or even, got {parity!r}")
-    if parity == "odd":
-        if t < 1:
-            raise PreconditionViolated("odd parity needs t >= 1")
-        cycle_len = 2 * t + 1
-        power = 2 * t + 1
-        bound = float((6 * t) ** (2 * t) * g.n)
-    else:
-        if t < 2:
-            raise PreconditionViolated("even parity needs t >= 2")
-        cycle_len = 2 * t
-        power = 2 * t
-        bound = float((12 * t) ** (2 * t) * g.n)
-    if contains_cycle(g, cycle_len):
-        raise PreconditionViolated(f"graph contains a {cycle_len}-cycle")
-    check = validate_rep(rep, g)
-    if not check.ok:
-        raise PreconditionViolated(f"rep residual {check.max_residual} exceeds tolerance")
+    power = require_cycle_free(g, parity, t)
+    bound = float((6 * t if parity == "odd" else 12 * t) ** (2 * t) * g.n)
+    require_valid_rep(rep, g)
     spec = eigvals_sym(gram(rep))
     tv = spec.power_sum(power)
     scale = max(1.0, bound)

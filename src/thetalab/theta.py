@@ -27,11 +27,10 @@ from .errors import (
     HandleOrthogonalToVector,
     NoEdges,
     PreconditionViolated,
-    RepInvalid,
 )
-from .graph import Graph, complement, contains_cycle
+from .graph import Graph, complement
 from .linalg import SymMatrix, adjacency_dense, adjacency_sym, eigh_dense, eigvals_sym, psd_project_dense, sym_from_dense
-from .ortho import OrthoRep, validate_rep
+from .ortho import OrthoRep, require_cycle_free, require_valid_rep
 
 DEFAULT_ITERATION_CAP = 50_000
 DEFAULT_SOLVER_CAP = 200
@@ -228,9 +227,7 @@ def _check_handle(rep: OrthoRep, x) -> np.ndarray:
 def theta_upper_from_rep(rep: OrthoRep, x) -> float:
     """max over vertices of <x, f(v)>^-2, an upper bound from a rep of g."""
     x = _check_handle(rep, x)
-    res = validate_rep(rep, rep.target)
-    if not res.ok:
-        raise RepInvalid(f"rep residual {res.max_residual} exceeds tolerance")
+    require_valid_rep(rep, rep.target)
     products = x @ rep.vectors
     tiny = float(np.min(np.abs(products)))
     if tiny <= 1e-12:
@@ -241,9 +238,7 @@ def theta_upper_from_rep(rep: OrthoRep, x) -> float:
 def theta_lower_from_rep(rep: OrthoRep, x) -> float:
     """Sum of <x, f(v)>^2 over a rep of the complement: a lower bound for g."""
     x = _check_handle(rep, x)
-    res = validate_rep(rep, rep.target)
-    if not res.ok:
-        raise RepInvalid(f"rep residual {res.max_residual} exceeds tolerance")
+    require_valid_rep(rep, rep.target)
     products = x @ rep.vectors
     return float(np.sum(products**2))
 
@@ -288,20 +283,11 @@ def bound_formula_check(g: Graph, parity: str, t: int) -> BoundFormulaReport:
     pass is then merely "no violation witnessed".
     """
     n = g.n
+    require_cycle_free(g, parity, t)
     if parity == "odd":
-        if t < 1:
-            raise PreconditionViolated("odd parity needs t >= 1")
-        cycle_len = 2 * t + 1
         formula = ((6 * t) ** (2 * t) * n) ** (1.0 / (2 * t + 1))
-    elif parity == "even":
-        if t < 2:
-            raise PreconditionViolated("even parity needs t >= 2")
-        cycle_len = 2 * t
-        formula = 12 * t * n ** (1.0 / (2 * t))
     else:
-        raise PreconditionViolated(f"parity must be odd or even, got {parity!r}")
-    if contains_cycle(g, cycle_len):
-        raise PreconditionViolated(f"graph contains a {cycle_len}-cycle")
+        formula = 12 * t * n ** (1.0 / (2 * t))
     if n <= solver_cap():
         value = theta_sdp(complement(g)).upper
         certified = True

@@ -104,6 +104,8 @@ def test_check_free_exit_codes(tmp_path, capsys):
     assert code == 1 and "free: false" in out
     code, _, err = run(capsys, ["check", "free", "--pattern", "X9", "--graph", path])
     assert code == 2 and "error" in err
+    code, out, err = run(capsys, ["check", "free", "--pattern", "C1_0", "--graph", path])
+    assert code == 2 and out == "" and "unrecognized pattern 'C1_0'" in err
 
 
 def test_rep_validate_and_gram(tmp_path, capsys):

@@ -331,6 +331,9 @@ def test_parse_pattern():
         parse_pattern("P4")
     with pytest.raises(UnsupportedPattern):
         parse_pattern("C2")
+    for text in ("C1_0", "K+2,+3", "C\u0665", "K2, 3"):  # \u0665 is the Arabic-Indic digit five
+        with pytest.raises(UnsupportedPattern):
+            parse_pattern(text)
 
 
 def test_contains_pattern():

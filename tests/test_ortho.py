@@ -22,6 +22,7 @@ from thetalab.errors import (
 )
 from thetalab.graph import Graph, complete_graph, contains_cycle, cycle_graph, empty_graph, from_edges
 from thetalab.linalg import sym_from_dense, trace_power
+from thetalab.theta import theta_lower_from_rep, theta_upper_from_rep
 from thetalab.ortho import (
     OrthoRep,
     basis_rep_from_clique_cover,
@@ -268,8 +269,12 @@ def test_msr_chain_on_random_c4_free_graph():
 def test_msr_chain_rejects_invalid_rep():
     g = empty_graph(3)
     rep = OrthoRep(3, 2.0 * np.eye(3), g)
-    with pytest.raises(RepInvalid):
-        msr_lower_chain_check(rep, g, 2)
+    x = np.array([1.0, 0.0, 0.0])
+    checks = (lambda: msr_lower_chain_check(rep, g, 2), lambda: trace_power_certificate(rep, g, 1, "odd"),
+              lambda: theta_upper_from_rep(rep, x), lambda: theta_lower_from_rep(rep, x))
+    for check in checks:
+        with pytest.raises(RepInvalid, match="rep residual 3.0 exceeds tolerance"):
+            check()
 
 
 def test_trace_power_certificates():

@@ -30,7 +30,6 @@ from thetalab.ffield import element_of_order, field_from_order, field_tables, pr
 from thetalab.graph import (
     Graph,
     _bits,
-    _packed_rows,
     chromatic_number_exact,
     complement,
     contains_complete_bipartite,
@@ -619,36 +618,45 @@ def _corpus_graph(family, q, t):
 
 @pytest.mark.parametrize("block_entries", [constructions_module.BLOCK_ENTRIES, 1], ids=["default-blocks", "one-row-blocks"])
 def test_carried_rows_match_repack(monkeypatch, block_entries):
+    """A construction's graph has Graph.packed set at build time, equal to a repack of its ints."""
     monkeypatch.setattr(constructions_module, "BLOCK_ENTRIES", block_entries)
     assert len(CORPUS) == 136
     for case in CORPUS:
         g = _corpus_graph(*case)
-        assert g._packed is not None and _packed_rows(g) is g._packed
-        assert same_bits(g._packed, packed_rows_join(g)), case
+        assert "packed" in vars(g), case
+        assert same_bits(g.packed, packed_rows_join(g)), case
+
+
+def _derived_graphs():
+    g = polarity_graph(5)
+    return (complement(g), induced_subgraph(g, range(0, g.n, 2)), from_edges(g.n, g.edges(), g.labels),
+            clique_union(10, 3))
 
 
 def test_carried_rows_are_read_only():
-    g = furedi_graph(5, 2).graph
-    assert not g._packed.flags.writeable
-    with pytest.raises(ValueError):
-        g._packed[0, 0] = 1
+    for g in (furedi_graph(5, 2).graph, polarity_graph(4), *_derived_graphs()):
+        assert not g.packed.flags.writeable
+        with pytest.raises(ValueError):
+            g.packed[0, 0] = 1
 
 
 def test_derived_graphs_carry_no_rows():
-    g = polarity_graph(5)
-    derived = (complement(g), induced_subgraph(g, range(0, g.n, 2)), from_edges(g.n, g.edges(), g.labels),
-               clique_union(10, 3))
-    for h in derived:
-        assert h._packed is None
-        assert same_bits(_packed_rows(h), packed_rows_join(h))
+    """Graphs built from ints pack on first read of Graph.packed, and only then."""
+    for h in _derived_graphs():
+        assert "packed" not in vars(h)
+        first = h.packed
+        assert same_bits(first, packed_rows_join(h))
+        assert h.packed is first
 
 
 def test_graph_equality_hash_and_repr_ignore_carried_rows():
     for g in (furedi_graph(7, 3).graph, polarity_graph(4)):
         plain = from_edges(g.n, g.edges(), g.labels)
-        assert g._packed is not None and plain._packed is None
+        assert "packed" in vars(g) and "packed" not in vars(plain)
         assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
-        assert "_packed" not in repr(g)
+        assert "packed" not in repr(g)
+        assert same_bits(plain.packed, g.packed)  # now cached on plain too
+        assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
 
 
 def test_furedi_graph_equality_ignores_computed_fields():
