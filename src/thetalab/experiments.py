@@ -392,37 +392,56 @@ def _run_claim1_sandwich(seed: int):
     return {"rep_samples": 30, "n_max": 10}, checks
 
 
-# layer coloring: exhaustive labeled sweep over all graphs on <= 7 vertices,
-# as array passes over the edge masks; each distinct layer subgraph is
-# coloured once
+# layer coloring: exhaustive labeled sweep over the 5-cycle-free graphs on
+# <= 7 vertices, grown one vertex at a time, as array passes over the edge
+# masks; each distinct layer subgraph is coloured once
 
 
 def _edge_positions(n: int):
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _cycle_edge_masks(n: int, length: int):
-    idx = {p: i for i, p in enumerate(_edge_positions(n))}
-    masks = set()
-    for sub in itertools.combinations(range(n), length):
-        for perm in itertools.permutations(sub[1:]):
-            cyc = (sub[0],) + perm
-            m = 0
-            for i in range(length):
-                a, b = cyc[i], cyc[(i + 1) % length]
-                m |= 1 << idx[(min(a, b), max(a, b))]
-            masks.add(m)
-    return sorted(masks)
+def _pairs_inside(n: int) -> np.ndarray:
+    """Per vertex set S (a bitmask over n vertices), the edge mask of the pairs inside S."""
+    sets = np.arange(1 << n)
+    inside = np.zeros(1 << n, dtype=np.uint32)
+    for k, (u, v) in enumerate(_edge_positions(n)):
+        pair = (1 << u) | (1 << v)
+        inside[(sets & pair) == pair] |= 1 << k
+    return inside
 
 
-def _c5_free_masks(n: int) -> np.ndarray:
-    """Edge masks (bit k = k-th pair of _edge_positions) of the 5-cycle-free graphs on n vertices."""
-    all_g = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
-    has = np.zeros(len(all_g), dtype=bool)
-    for m in _cycle_edge_masks(n, 5):
-        mm = np.uint32(m)
-        has |= (all_g & mm) == mm
-    return all_g[~has]
+def _grow_c5_free_masks(n_max: int):
+    """Yield, for n = 1..n_max, the ascending uint32 edge masks (bit k = k-th pair of
+    _edge_positions(n)) of the 5-cycle-free graphs on n vertices; n_max <= 8.
+
+    Deleting a vertex keeps a graph 5-cycle-free, so each graph on n vertices is one on
+    n - 1 plus a new vertex x.  A 5-cycle through x is x-a-b-c-d-x, so x may join any
+    neighbour set S that holds no two ends a, d of a 3-edge path a-b-c-d.
+    """
+    free = np.zeros(1, dtype=np.uint32)
+    yield free
+    for n in range(2, n_max + 1):
+        x = n - 1
+        old = _edge_positions(x)
+        bit = {p: k for k, p in enumerate(old)}
+        pos = {p: k for k, p in enumerate(_edge_positions(n))}
+        ends = np.zeros(len(free), dtype=np.uint32)  # pairs {a, d} that a 3-edge path joins
+        for a, d in old:
+            joined = np.zeros(len(free), dtype=bool)
+            for b, c in itertools.permutations([v for v in range(x) if v not in (a, d)], 2):
+                path = np.uint32(sum(1 << bit[min(e), max(e)] for e in ((a, b), (b, c), (c, d))))
+                joined |= (free & path) == path
+            ends |= joined.astype(np.uint32) << bit[a, d]
+        grown = np.zeros(len(free), dtype=np.uint32)  # the survivors' bits at their n-vertex positions
+        for k, p in enumerate(old):
+            grown |= ((free >> k) & 1) << pos[p]
+        star = np.array([sum(1 << pos[u, x] for u in range(x) if s >> u & 1) for s in range(1 << x)],
+                        dtype=np.uint32)  # the edges from x to each S
+        inside = _pairs_inside(x)
+        free = np.concatenate([grown[(ends & inside[s]) == 0] | star[s] for s in range(1 << x)])
+        free.sort()
+        yield free
 
 
 def _mask_graph(n: int, mask: int) -> Graph:
@@ -432,14 +451,11 @@ def _mask_graph(n: int, mask: int) -> Graph:
 def _layer_edge_masks(n: int, graphs: np.ndarray):
     """Per root, the edge masks induced by BFS layers A_1 and A_2 of every graph."""
     nbr = np.zeros((n, len(graphs)), dtype=np.uint8)
-    sets = np.arange(1 << n)
-    inside = np.zeros(1 << n, dtype=graphs.dtype)  # edge mask of the pairs inside each vertex set
+    inside = _pairs_inside(n)
     for k, (u, v) in enumerate(_edge_positions(n)):
         bit = ((graphs >> k) & 1).astype(np.uint8)
         nbr[u] |= bit << v
         nbr[v] |= bit << u
-        pair = (1 << u) | (1 << v)
-        inside[(sets & pair) == pair] |= 1 << k
     for root in range(n):
         a1 = nbr[root]
         a2 = np.zeros_like(a1)
@@ -465,8 +481,7 @@ def _layers_3_colorable(n: int, graphs: np.ndarray) -> np.ndarray:
 def _run_layer_coloring(seed: int):
     checks = []
     cross_agree = cross_total = 0
-    for n in range(1, 8):
-        free = _c5_free_masks(n)
+    for n, free in enumerate(_grow_c5_free_masks(7), start=1):
         ok = _layers_3_colorable(n, free)
         violations = int(np.count_nonzero(~ok))
         for idx in range(0, len(free), 20000):  # spot-check the sweep against the library op

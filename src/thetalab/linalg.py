@@ -24,6 +24,7 @@ from .errors import ConvergenceFailure
 from .graph import Graph, adjacency_rows
 
 _EPS = float(np.finfo(np.float64).eps)
+POWER_SUM_MAX = 64  # largest k that Spectrum.power_sum accepts
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +83,8 @@ class Spectrum:
 
     def power_sum(self, k: int) -> float:
         """tr(M^k) = sum of lambda_i^k."""
-        if not 1 <= k <= 64:
-            raise ValueError("need 1 <= k <= 64")
+        if not 1 <= k <= POWER_SUM_MAX:
+            raise ValueError(f"need 1 <= k <= {POWER_SUM_MAX}")
         return float(np.sum(self.eigenvalues**k))
 
     def rank(self, tol: float | None = None) -> int:

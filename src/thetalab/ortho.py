@@ -8,6 +8,8 @@ chain, and trace-power bounds for cycle-free graphs.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +23,7 @@ from .errors import (
     UnsupportedPattern,
 )
 from .graph import Graph, complement, contains_clique, contains_cycle, cycle_graph, graph_from_json, graph_to_json, json_int, json_number, parse_pattern
-from .linalg import SymMatrix, adjacency_dense, eigvals_sym, sym_from_dense, trace_power
+from .linalg import POWER_SUM_MAX, SymMatrix, adjacency_dense, eigvals_sym, sym_from_dense, trace_power
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,6 +309,20 @@ def require_cycle_free(g: Graph, parity: str, t: int) -> int:
     return cycle_len
 
 
+def cycle_free_bound(parity: str, t: int, n: int) -> float:
+    """(6t)^{2t} n (odd parity) or (12t)^{2t} n (even parity), computed exactly and
+    rounded to a float; PreconditionViolated if it exceeds the float64 limit."""
+    base = 6 * t if parity == "odd" else 12 * t
+    limit = f"{parity}-parity bound {base}^{2 * t}*{n} for t = {t} exceeds the float64 limit {sys.float_info.max!r}"
+    # an estimate above 2^1025 overflows whatever the logs' rounding, so a huge power is never computed
+    if 2 * t * math.log2(base) + math.log2(max(n, 1)) > 1025:
+        raise PreconditionViolated(limit)
+    try:
+        return float(base ** (2 * t) * n)
+    except OverflowError:
+        raise PreconditionViolated(limit) from None
+
+
 def trace_power_certificate(rep: OrthoRep, g: Graph, t: int, parity: str) -> TracePowerReport:
     """Trace-power bound for reps of cycle-free graphs.
 
@@ -315,7 +331,9 @@ def trace_power_certificate(rep: OrthoRep, g: Graph, t: int, parity: str) -> Tra
     Both imply a top-eigenvalue bound of bound^(1/power).
     """
     power = require_cycle_free(g, parity, t)
-    bound = float((6 * t if parity == "odd" else 12 * t) ** (2 * t) * g.n)
+    bound = cycle_free_bound(parity, t, g.n)
+    if power > POWER_SUM_MAX:
+        raise PreconditionViolated(f"trace power {power} for t = {t} is above the power-sum limit {POWER_SUM_MAX}")
     require_valid_rep(rep, g)
     spec = eigvals_sym(gram(rep))
     tv = spec.power_sum(power)

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .graph import Graph, complement
 from .linalg import SymMatrix, adjacency_dense, adjacency_sym, eigh_dense, eigvals_sym, psd_project_dense, sym_from_dense
-from .ortho import OrthoRep, require_cycle_free, require_valid_rep
+from .ortho import OrthoRep, cycle_free_bound, require_cycle_free, require_valid_rep
 
 DEFAULT_ITERATION_CAP = 50_000
 DEFAULT_SOLVER_CAP = 200
@@ -285,7 +285,7 @@ def bound_formula_check(g: Graph, parity: str, t: int) -> BoundFormulaReport:
     n = g.n
     require_cycle_free(g, parity, t)
     if parity == "odd":
-        formula = ((6 * t) ** (2 * t) * n) ** (1.0 / (2 * t + 1))
+        formula = cycle_free_bound(parity, t, n) ** (1.0 / (2 * t + 1))
     else:
         formula = 12 * t * n ** (1.0 / (2 * t))
     if n <= solver_cap():

@@ -214,6 +214,14 @@ def test_bad_parameters_exit_two(capsys, argv, needle):
     (["construct", "cliques", "--n", "99999999999", "--t", "1"], "n = 99999999999 vertices, above the vertex cap 20000"),
     # a 0-vertex graph has no spectrum; this ended in a ValueError traceback
     (["spectrum", "--graph", "{zero_n}"], "graph must have at least one vertex"),
+    # refused before the bound's power is computed; these ended in an OverflowError traceback and a hang
+    (["rep", "certify", "--file", "{rep}", "--check", "trace-power", "--t", "200", "--parity", "odd"],
+     "odd-parity bound 1200^400*9 for t = 200 exceeds the float64 limit 1.7976931348623157e+308"),
+    (["rep", "certify", "--file", "{rep}", "--check", "trace-power", "--t", "100000000000", "--parity", "even"],
+     "exceeds the float64 limit"),
+    # the bound fits, but tr(M^81) is above Spectrum.power_sum's limit; this ended in a ValueError traceback
+    (["rep", "certify", "--file", "{rep}", "--check", "trace-power", "--t", "40", "--parity", "odd"],
+     "trace power 81 for t = 40 is above the power-sum limit 64"),
 ])
 def test_refused_inputs_exit_two(tmp_path, capsys, args, needle):
     files = {"c5": write_graph(tmp_path / "c5.json", cycle_graph(5)), "rep": str(tmp_path / "rep.json")}

@@ -26,6 +26,7 @@ from thetalab.theta import theta_lower_from_rep, theta_upper_from_rep
 from thetalab.ortho import (
     OrthoRep,
     basis_rep_from_clique_cover,
+    cycle_free_bound,
     gram,
     greedy_clique_cover,
     msr_lower_chain_check,
@@ -302,6 +303,27 @@ def test_trace_power_preconditions():
         trace_power_certificate(rep, tri, 1, "even")
     with pytest.raises(PreconditionViolated):
         trace_power_certificate(rep, tri, 1, "sideways")
+
+
+def test_cycle_free_bound_is_exact_up_to_the_float64_limit():
+    assert cycle_free_bound("odd", 1, 5) == 180.0 and cycle_free_bound("even", 2, 13) == float(24**4 * 13)
+    assert cycle_free_bound("odd", 60, 5) == float(360**120 * 5)  # about 2.9e307
+    for parity, t in (("odd", 61), ("odd", 200), ("even", 10**11)):
+        with pytest.raises(PreconditionViolated, match="exceeds the float64 limit 1.7976931348623157e[+]308"):
+            cycle_free_bound(parity, t, 5)
+
+
+def test_trace_power_refuses_t_beyond_its_limits():
+    rep = umbrella_rep(False)
+    # refused before the bound's power is computed: 1200000000000^200000000000 has 8e12 bits
+    for t, parity in ((200, "odd"), (10**11, "even")):
+        with pytest.raises(PreconditionViolated, match="exceeds the float64 limit"):
+            trace_power_certificate(rep, rep.target, t, parity)
+    # the bound fits, but tr(M^121) is above the power sums the spectrum takes
+    with pytest.raises(PreconditionViolated, match="trace power 121 for t = 60 is above the power-sum limit 64"):
+        trace_power_certificate(rep, rep.target, 60, "odd")
+    out = trace_power_certificate(rep, rep.target, 31, "odd")
+    assert out.ok and out.power == 63 and out.bound == float(186**62 * 5)
 
 
 # --- sum lengths and serialization -------------------------------------------

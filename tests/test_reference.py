@@ -7,12 +7,15 @@ full rebuild per candidate edge for the cycle-free generator, the
 per-pair FieldSpec arithmetic for the finite-field constructions, the
 loop over base-p digits for table addition, an edge loop for the dense
 adjacency matrix, a per-graph bitset BFS for the layer-colouring sweep,
+the test of every edge mask against every 5-cycle for the 5-cycle-free
+graphs it sweeps,
 the QL eigensolver on numpy scalars that rotates one eigenvector column
 pair at a time, and the packed upper triangle for symmetric matrices.
 Both sides perform the same floating-point operations, so every
 comparison is exact equality, not a tolerance.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +28,7 @@ from thetalab import graph as graph_module
 from thetalab import linalg as linalg_module
 from thetalab.constructions import clique_union, furedi_graph, polarity_graph, polarity_graph_with_loops
 from thetalab.errors import ConvergenceFailure, PreconditionViolated
-from thetalab.experiments import _cycle_free_graph, _edge_positions, _layers_3_colorable
+from thetalab.experiments import _cycle_free_graph, _edge_positions, _grow_c5_free_masks, _layers_3_colorable, _mask_graph
 from thetalab.ffield import element_of_order, field_from_order, field_tables, prime_factors, subgroup
 from thetalab.graph import (
     Graph,
@@ -280,6 +283,30 @@ def layers_3_colorable_loop(n, adj, memo):
                 if not ok:
                     return False
     return True
+
+
+def cycle_edge_masks(n: int, length: int):
+    idx = {p: i for i, p in enumerate(_edge_positions(n))}
+    masks = set()
+    for sub in itertools.combinations(range(n), length):
+        for perm in itertools.permutations(sub[1:]):
+            cyc = (sub[0],) + perm
+            m = 0
+            for i in range(length):
+                a, b = cyc[i], cyc[(i + 1) % length]
+                m |= 1 << idx[(min(a, b), max(a, b))]
+            masks.add(m)
+    return sorted(masks)
+
+
+def c5_free_masks(n: int) -> np.ndarray:
+    """Edge masks (bit k = k-th pair of _edge_positions) of the 5-cycle-free graphs on n vertices."""
+    all_g = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
+    has = np.zeros(len(all_g), dtype=bool)
+    for m in cycle_edge_masks(n, 5):
+        mm = np.uint32(m)
+        has |= (all_g & mm) == mm
+    return all_g[~has]
 
 
 _EPS = np.finfo(np.float64).eps
@@ -804,6 +831,31 @@ def test_layer_sweep_sees_a_bad_second_layer():
     assert all(chromatic_number_exact(induced_subgraph(g, g.neighbors(v))) <= 3 for v in range(7))
     assert not layers_3_colorable_loop(7, list(g.adj), {})
     assert _layers_3_colorable(7, np.array([mask], dtype=np.uint32)).tolist() == [False]
+
+
+C5_FREE_COUNTS = [1, 2, 8, 64, 806, 13922, 316453]
+
+
+def test_grown_c5_free_masks_match_full_sweep():
+    grown = list(_grow_c5_free_masks(7))
+    assert [len(masks) for masks in grown] == C5_FREE_COUNTS and sum(C5_FREE_COUNTS) == 331256
+    for n, masks in enumerate(grown, start=1):
+        ref = c5_free_masks(n)
+        assert masks.dtype == ref.dtype and np.array_equal(masks, ref)
+
+
+def test_grown_c5_free_masks_match_cycle_search():
+    # seeded 7-vertex masks: grown graphs, grown graphs with one more edge, and uniform masks
+    free = list(_grow_c5_free_masks(7))[-1]
+    rng = np.random.default_rng(13)
+    members = rng.choice(free, 150, replace=False)
+    plus_one = rng.choice(free, 150, replace=False) | (np.uint32(1) << rng.integers(0, 21, 150, dtype=np.uint32))
+    uniform = rng.integers(0, 1 << 21, 150, dtype=np.uint32)
+    sample = np.concatenate([members, plus_one, uniform])
+    grown = np.isin(sample, free)
+    assert 150 < np.count_nonzero(grown) < 450
+    for m, inside in zip(sample.tolist(), grown.tolist()):
+        assert inside == (not contains_cycle(_mask_graph(7, m), 5))
 
 
 def _check_eigh_bits(a):

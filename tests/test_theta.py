@@ -320,3 +320,11 @@ def test_bound_formula_reports():
         bound_formula_check(complete_graph(3), "odd", 1)
     with pytest.raises(PreconditionViolated):
         bound_formula_check(cycle_graph(5), "diagonal", 1)
+
+
+def test_bound_formula_up_to_the_float64_limit():
+    out = bound_formula_check(cycle_graph(5), "odd", 60)
+    assert out.ok and out.formula_bound == float(360**120 * 5) ** (1.0 / 121)
+    for t in (61, 200):
+        with pytest.raises(PreconditionViolated, match="exceeds the float64 limit"):
+            bound_formula_check(cycle_graph(5), "odd", t)
