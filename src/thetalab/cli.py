@@ -25,7 +25,7 @@ from .ortho import (
     trace_power_certificate,
     validate_rep,
 )
-from .theta import theta_sdp
+from .theta import DEFAULT_ITERATION_CAP, DEFAULT_TOL, theta_sdp
 
 
 def _f(x: float) -> str:
@@ -252,8 +252,8 @@ def _parser() -> argparse.ArgumentParser:
     t = sub.add_parser("theta", help="certified theta bracket for a graph file")
     t.add_argument("--graph", required=True)
     t.add_argument("--complement", action="store_true")
-    t.add_argument("--tol", type=float, default=1e-6)
-    t.add_argument("--iteration-cap", type=int, default=50_000)
+    t.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    t.add_argument("--iteration-cap", type=int, default=DEFAULT_ITERATION_CAP)
     t.add_argument("--json", action="store_true")
     t.set_defaults(func=cmd_theta)
 

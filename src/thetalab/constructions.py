@@ -58,13 +58,13 @@ class FurediGraph:
 
     @functools.cached_property
     def classes(self) -> tuple[tuple[FieldElement, FieldElement], ...]:
-        elements = field_tables(field_from_order(self.q)).elements
-        return tuple((elements[a], elements[b]) for a, b in zip(*self.class_indices))
+        element = field_from_order(self.q).element
+        return tuple((element(a), element(b)) for a, b in zip(*self.class_indices))
 
     @functools.cached_property
     def scaling_subgroup(self) -> tuple[FieldElement, ...]:
-        elements = field_tables(field_from_order(self.q)).elements
-        return tuple(elements[i] for i in self.subgroup_indices)
+        element = field_from_order(self.q).element
+        return tuple(element(i) for i in self.subgroup_indices)
 
 
 def _refuse_above_cap(name: str, n: int) -> None:

@@ -40,7 +40,7 @@ class IndexOutOfRange(ThetalabError):
 
 
 class ComplexityRefused(ThetalabError):
-    """Exact search would exceed the configured work cap."""
+    """Exact search would exceed its work cap."""
 
 
 class PreconditionViolated(ThetalabError):

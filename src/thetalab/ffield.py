@@ -172,9 +172,6 @@ class FieldSpec:
             v = v * self.p + c
         return v
 
-    def elements(self):
-        return (self.element(i) for i in range(self.q))
-
     @property
     def zero(self) -> FieldElement:
         return FieldElement((0,) * self.alpha)
@@ -311,10 +308,9 @@ class FieldTables:
     identity.  So add is one gather, fold[code[a] + code[b]] (a xor for
     p = 2), and sum_test folds a membership test into that gather.  The
     largest fold under the construction cap is 5^9 entries, about 16 MB,
-    for q = 3^9; every other table has O(q) entries.  elements[i] is
-    element i as a FieldElement, and order[i] its multiplicative order
-    (order[0] = 0).  mul, add and neg act elementwise on index arrays of any
-    shape.
+    for q = 3^9; every other table has O(q) entries.  order[i] is the
+    multiplicative order of element i (order[0] = 0).  mul, add and neg act
+    elementwise on index arrays of any shape.
     """
 
     p: int
@@ -323,7 +319,6 @@ class FieldTables:
     antilog: np.ndarray
     code: np.ndarray
     fold: np.ndarray
-    elements: tuple[FieldElement, ...]
     order: np.ndarray
 
     def mul(self, a, b) -> np.ndarray:
@@ -374,7 +369,7 @@ class SumTest:
 
 @functools.lru_cache(maxsize=128)
 def field_tables(spec: FieldSpec) -> FieldTables:
-    """Log/antilog, code/fold, element and order tables of a field, built with
+    """Log/antilog, code/fold and order tables of a field, built with
     FieldSpec arithmetic and kept for the 128 most recently used fields."""
     p, q = spec.p, spec.q
     g = element_of_order(spec, q - 1)
@@ -399,5 +394,4 @@ def field_tables(spec: FieldSpec) -> FieldTables:
     order[1:] = (q - 1) // np.gcd(log[1:], q - 1)
     for table in (log, antilog, code, fold, order):
         table.flags.writeable = False  # shared by every caller through the cache
-    elements = tuple(FieldElement(c[::-1]) for c in itertools.product(range(p), repeat=spec.alpha))
-    return FieldTables(p, q, log, antilog, code, fold, elements, order)
+    return FieldTables(p, q, log, antilog, code, fold, order)

@@ -259,25 +259,24 @@ def contains_cycle(g: Graph, k: int) -> bool:
     return False
 
 
-def contains_complete_bipartite(g: Graph, t: int, s: int, cap: int = BICLIQUE_SUBSET_CAP) -> bool:
+def contains_complete_bipartite(g: Graph, t: int, s: int) -> bool:
     """True iff some t-subset has >= s common neighbors (a K_{t,s} subgraph).
 
     Enumerates the smaller side t; common neighbors are automatically
     disjoint from the subset since loops are absent.  For t = 2 the
     verdict is whether some off-diagonal codegree reaches s, read from A·A
-    (_codegree_reaches) instead of a loop over pairs.  cap
-    (BICLIQUE_SUBSET_CAP by default) still refuses C(n, t) > cap before
-    any work, t = 2 included.
+    (_codegree_reaches) instead of a loop over pairs, so it has C4's limits
+    only.  Other t refuse C(n, t) > BICLIQUE_SUBSET_CAP before any work.
     """
     if not 1 <= t <= s:
         raise PreconditionViolated("need 1 <= t <= s")
     n, adj = g.n, g.adj
     if t > n:
         return False
-    if comb(n, t) > cap:
-        raise ComplexityRefused(f"C({n},{t}) exceeds cap {cap}")
     if t == 2:
         return _codegree_reaches(g, s)
+    if comb(n, t) > BICLIQUE_SUBSET_CAP:
+        raise ComplexityRefused(f"C({n},{t}) exceeds cap {BICLIQUE_SUBSET_CAP}")
     for subset in combinations(range(n), t):
         common = (1 << n) - 1
         for v in subset:
@@ -428,11 +427,11 @@ def _k_colorable(g: Graph, k: int) -> bool:
     return bt(0, 0)
 
 
-def chromatic_number_exact(g: Graph, cap: int = CHROMATIC_N_CAP) -> int:
+def chromatic_number_exact(g: Graph) -> int:
     """Exact chromatic number; clique lower bound, greedy upper bound,
     backtracking in between."""
-    if g.n > cap:
-        raise ComplexityRefused(f"n = {g.n} exceeds chromatic cap {cap}")
+    if g.n > CHROMATIC_N_CAP:
+        raise ComplexityRefused(f"n = {g.n} exceeds chromatic cap {CHROMATIC_N_CAP}")
     if g.n == 0:
         return 0
     if g.edge_count() == 0:
@@ -557,6 +556,13 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _text_int(token: str) -> int:
+    """An edge-list number: ASCII digits only, as in parse_pattern."""
+    if not re.fullmatch(r"[0-9]+", token):
+        raise ValueError(f"edge-list number must be ASCII digits, got {token!r}")
+    return int(token)
+
+
 def graph_from_text(text: str) -> Graph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -564,7 +570,7 @@ def graph_from_text(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"edge-list header must be 'n m', got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _text_int(head[0]), _text_int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1} edge lines")
     edges = []
@@ -572,5 +578,5 @@ def graph_from_text(text: str) -> Graph:
         ends = ln.split()
         if len(ends) != 2:
             raise ValueError(f"edge line must be 'u v', got {ln!r}")
-        edges.append((int(ends[0]), int(ends[1])))
+        edges.append((_text_int(ends[0]), _text_int(ends[1])))
     return from_edges(n, edges)

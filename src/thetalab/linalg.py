@@ -87,16 +87,11 @@ class Spectrum:
             raise ValueError(f"need 1 <= k <= {POWER_SUM_MAX}")
         return float(np.sum(self.eigenvalues**k))
 
-    def rank(self, tol: float | None = None) -> int:
-        """Count of eigenvalues with |lambda| above tol.
-
-        Default tol = n * max|lambda| * 2^-40, scaling with the O(n) rounding
-        accumulated in Gram matrices.
-        """
+    def rank(self) -> int:
+        """Count of eigenvalues with |lambda| above n * max|lambda| * 2^-40,
+        a cut scaling with the O(n) rounding accumulated in Gram matrices."""
         mags = np.abs(self.eigenvalues)
-        if tol is None:
-            tol = mags.size * float(np.max(mags)) * 2.0**-40
-        return int(np.sum(mags > tol))
+        return int(np.sum(mags > mags.size * float(np.max(mags)) * 2.0**-40))
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +285,9 @@ def trace_power(m: SymMatrix, k: int) -> float:
     return eigvals_sym(m).power_sum(k)
 
 
-def numeric_rank(m: SymMatrix, tol: float | None = None) -> int:
-    """Count of eigenvalues with |lambda| above tol; see Spectrum.rank."""
-    return eigvals_sym(m).rank(tol)
+def numeric_rank(m: SymMatrix) -> int:
+    """Count of eigenvalues above the cut of Spectrum.rank."""
+    return eigvals_sym(m).rank()
 
 
 def psd_project_dense(a: np.ndarray) -> np.ndarray:

@@ -25,6 +25,9 @@ from .errors import (
 from .graph import Graph, complement, contains_clique, contains_cycle, cycle_graph, graph_from_json, graph_to_json, json_int, json_number, parse_pattern
 from .linalg import POWER_SUM_MAX, SymMatrix, adjacency_dense, eigvals_sym, sym_from_dense, trace_power
 
+# slack of rep validation (unit norms, orthogonality) and of the msr chain
+REP_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class OrthoRep:
@@ -53,7 +56,7 @@ class RepValidation:
     max_residual: float
 
 
-def validate_rep(rep: OrthoRep, g: Graph, tol: float = 1e-8) -> RepValidation:
+def validate_rep(rep: OrthoRep, g: Graph) -> RepValidation:
     """Check unit norms and orthogonality on non-adjacent pairs."""
     if rep.target.n != g.n:
         raise DimensionMismatch(f"rep has {rep.target.n} vertices, graph has {g.n}")
@@ -63,11 +66,11 @@ def validate_rep(rep: OrthoRep, g: Graph, tol: float = 1e-8) -> RepValidation:
     non_adjacent = np.triu(adjacency_dense(g) == 0.0, k=1)
     if non_adjacent.any():
         worst = max(worst, float(np.max(np.abs(gm[non_adjacent]))))
-    return RepValidation(worst <= tol, worst)
+    return RepValidation(worst <= REP_TOL, worst)
 
 
 def require_valid_rep(rep: OrthoRep, g: Graph) -> None:
-    """Raise RepInvalid unless rep validates against g at validate_rep's default tolerance."""
+    """Raise RepInvalid unless rep validates against g."""
     check = validate_rep(rep, g)
     if not check.ok:
         raise RepInvalid(f"rep residual {check.max_residual} exceeds tolerance")
@@ -260,7 +263,7 @@ class MsrChainReport:
     t: int
 
 
-def msr_lower_chain_check(rep: OrthoRep, g: Graph, t: int, tol: float = 1e-8) -> MsrChainReport:
+def msr_lower_chain_check(rep: OrthoRep, g: Graph, t: int) -> MsrChainReport:
     """The rank lower-bound chain: tr(M^2) <= n t and n^2 <= d tr(M^2).
 
     Caller attests g is free of the relevant tree-plus-vertex pattern with
@@ -272,8 +275,8 @@ def msr_lower_chain_check(rep: OrthoRep, g: Graph, t: int, tol: float = 1e-8) ->
     m = gram(rep)
     t2 = trace_power(m, 2)
     n = g.n
-    trace_link = t2 <= n * t + tol * max(1.0, n * t)
-    chain = n * n <= rep.d * t2 * (1.0 + tol)
+    trace_link = t2 <= n * t + REP_TOL * max(1.0, n * t)
+    chain = n * n <= rep.d * t2 * (1.0 + REP_TOL)
     return MsrChainReport(trace_link and chain, rep.d, t2, trace_link, chain, n, t)
 
 

@@ -16,7 +16,6 @@ correction term's edge pattern whenever that candidate is better).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,23 +31,11 @@ from .graph import Graph, complement
 from .linalg import SymMatrix, adjacency_dense, adjacency_sym, eigh_dense, eigvals_sym, psd_project_dense, sym_from_dense
 from .ortho import OrthoRep, cycle_free_bound, require_cycle_free, require_valid_rep
 
+DEFAULT_TOL = 1e-6
 DEFAULT_ITERATION_CAP = 50_000
-DEFAULT_SOLVER_CAP = 200
+SOLVER_N_CAP = 200  # largest graph the dense solver accepts
+TRANSITIVE_TOL = 1e-4
 _CERT_EVERY = 5
-
-
-def solver_cap() -> int:
-    """Largest graph the dense solver accepts; LAB_MAX_N overrides."""
-    raw = os.environ.get("LAB_MAX_N")
-    if raw is None:
-        return DEFAULT_SOLVER_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise PreconditionViolated(f"LAB_MAX_N must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise PreconditionViolated(f"LAB_MAX_N must be positive, got {raw!r}")
-    return cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +78,7 @@ class ThetaResult:
             raise PreconditionViolated("gap field inconsistent with bounds")
 
 
-def theta_sdp(g: Graph, tol: float = 1e-6, iteration_cap: int = DEFAULT_ITERATION_CAP) -> ThetaResult:
+def theta_sdp(g: Graph, tol: float = DEFAULT_TOL, iteration_cap: int = DEFAULT_ITERATION_CAP) -> ThetaResult:
     """Bracket the theta number of g to within tol.
 
     Maximizes <J, X> over PSD unit-trace matrices vanishing on edges,
@@ -102,9 +89,8 @@ def theta_sdp(g: Graph, tol: float = 1e-6, iteration_cap: int = DEFAULT_ITERATIO
     n = g.n
     if n < 1:
         raise PreconditionViolated("graph must have at least one vertex")
-    cap_n = solver_cap()
-    if n > cap_n:
-        raise ComplexityRefused(f"n = {n} exceeds solver cap {cap_n}")
+    if n > SOLVER_N_CAP:
+        raise ComplexityRefused(f"n = {n} exceeds solver cap {SOLVER_N_CAP}")
     if not (math.isfinite(tol) and tol >= 1e-8):
         raise PreconditionViolated(f"tol must be finite and >= 1e-8, got {tol}")
     if iteration_cap < 1:
@@ -219,7 +205,7 @@ def _check_handle(rep: OrthoRep, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (rep.d,):
         raise PreconditionViolated(f"handle must have length {rep.d}")
-    if abs(float(np.linalg.norm(x)) - 1.0) > 1e-8:
+    if not abs(float(np.linalg.norm(x)) - 1.0) <= 1e-8:  # NaN fails too
         raise PreconditionViolated("handle must be a unit vector")
     return x
 
@@ -245,14 +231,14 @@ def theta_lower_from_rep(rep: OrthoRep, x) -> float:
 
 def L_bounds(g: Graph, theta_g: float, theta_gbar: float) -> tuple[float, float]:
     """Vector-sum-length sandwich (n/sqrt(theta(G)), sqrt(n*theta(Gbar)))."""
-    if theta_g < 1.0 or theta_gbar < 1.0:
+    if not (theta_g >= 1.0 and theta_gbar >= 1.0):  # NaN fails too
         raise PreconditionViolated("theta values are always >= 1")
     n = g.n
     return n / math.sqrt(theta_g), math.sqrt(n * theta_gbar)
 
 
-def transitive_identity_check(g: Graph, tol: float = 1e-4) -> bool:
-    """Whether theta(G) * theta(complement) is n within tol*n.
+def transitive_identity_check(g: Graph) -> bool:
+    """Whether theta(G) * theta(complement) is n within TRANSITIVE_TOL * n.
 
     Callers assert vertex-transitivity; the identity only holds there.
     """
@@ -260,7 +246,7 @@ def transitive_identity_check(g: Graph, tol: float = 1e-4) -> bool:
     rc = theta_sdp(complement(g))
     mid = (r.lower + r.upper) / 2.0
     mid_c = (rc.lower + rc.upper) / 2.0
-    return abs(mid * mid_c - g.n) <= tol * g.n
+    return abs(mid * mid_c - g.n) <= TRANSITIVE_TOL * g.n
 
 
 @dataclass(frozen=True)
@@ -288,7 +274,7 @@ def bound_formula_check(g: Graph, parity: str, t: int) -> BoundFormulaReport:
         formula = cycle_free_bound(parity, t, n) ** (1.0 / (2 * t + 1))
     else:
         formula = 12 * t * n ** (1.0 / (2 * t))
-    if n <= solver_cap():
+    if n <= SOLVER_N_CAP:
         value = theta_sdp(complement(g)).upper
         certified = True
     else:

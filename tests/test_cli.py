@@ -1,11 +1,18 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import inspect
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thetalab
 from thetalab.cli import main
 from thetalab.experiments import EXPERIMENT_NAMES, run_experiment, run_experiments
 from thetalab.graph import cycle_graph, graph_from_json, graph_to_json
@@ -314,3 +321,46 @@ def test_experiment_name_listing_is_complete():
         "msr-cycle", "trace-power", "claim1-sandwich", "layer-coloring",
         "even-cycle-bound",
     }
+
+
+PACKAGE_DIR = Path(thetalab.__file__).resolve().parent
+
+
+def run_child(cwd, argv, **env_extra):
+    """Exit code and stdout bytes of a fresh thetalab process; runtime_ms is blanked."""
+    env = {k: v for k, v in os.environ.items() if k != "LAB_MAX_N"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
+    env.update(env_extra)
+    proc = subprocess.run([sys.executable, "-m", "thetalab.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=120)
+    return proc.returncode, re.sub(rb'"runtime_ms": [0-9]+', b'"runtime_ms": 0', proc.stdout)
+
+
+@pytest.mark.parametrize("argv", [["theta", "--graph", "c5.json"],
+                                  ["verify", "paper", "--experiment", "even-cycle-bound", "--json"]],
+                         ids=["theta", "even-cycle-bound"])
+def test_lab_max_n_in_the_environment_changes_nothing(tmp_path, argv):
+    write_graph(tmp_path / "c5.json", cycle_graph(5))
+    code, out = run_child(tmp_path, argv)
+    assert code == 0 and out
+    for value in ("abc", "4"):
+        assert run_child(tmp_path, argv, LAB_MAX_N=value) == (code, out)
+
+
+def test_package_reads_no_environment():
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert sources
+    for path in sources:
+        assert not re.search(r"os\.environ|getenv", path.read_text()), path.name
+
+
+def test_limits_are_module_constants():
+    from thetalab.graph import chromatic_number_exact, contains_complete_bipartite
+    from thetalab.linalg import Spectrum, numeric_rank
+    from thetalab.ortho import msr_lower_chain_check, validate_rep
+    from thetalab.theta import transitive_identity_check
+
+    for fn in (contains_complete_bipartite, chromatic_number_exact, validate_rep, msr_lower_chain_check,
+               transitive_identity_check, Spectrum.rank, numeric_rank):
+        assert not {"cap", "tol"} & set(inspect.signature(fn).parameters), fn.__name__
+    assert not hasattr(thetalab, "solver_cap")

@@ -1,12 +1,14 @@
 """Graph structure and exact-checker tests, with brute-force oracles."""
 
 from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetalab import graph as graph_module
 from thetalab.errors import (
     ComplexityRefused,
     IndexOutOfRange,
@@ -16,6 +18,7 @@ from thetalab.errors import (
     UnsupportedPattern,
 )
 from thetalab.graph import (
+    BICLIQUE_SUBSET_CAP,
     GRAPH_N_CAP,
     Graph,
     bfs_layers,
@@ -194,11 +197,27 @@ def test_biclique_examples():
     assert contains_complete_bipartite(complete_graph(5), 2, 3)
 
 
-def test_biclique_preconditions_and_cap():
+def test_biclique_preconditions_and_cap(monkeypatch):
     with pytest.raises(PreconditionViolated):
         contains_complete_bipartite(cycle_graph(5), 3, 2)
-    with pytest.raises(ComplexityRefused):
-        contains_complete_bipartite(complete_graph(60), 5, 5, cap=10**5)
+    monkeypatch.setattr(graph_module, "BICLIQUE_SUBSET_CAP", 10**5)
+    with pytest.raises(ComplexityRefused, match="C\\(60,5\\) exceeds cap 100000"):
+        contains_complete_bipartite(complete_graph(60), 5, 5)
+
+
+def test_biclique_t2_has_no_subset_cap():
+    n = 4500  # C(n, 2) is above BICLIQUE_SUBSET_CAP
+    assert comb(n, 2) > BICLIQUE_SUBSET_CAP
+    g = from_edges(n, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    assert contains_complete_bipartite(g, 2, 3)
+    assert not contains_complete_bipartite(g, 2, 4)
+
+
+def test_biclique_t3_above_the_subset_cap_is_refused():
+    n = 400
+    assert comb(n, 3) > BICLIQUE_SUBSET_CAP
+    with pytest.raises(ComplexityRefused, match=f"C\\({n},3\\) exceeds cap {BICLIQUE_SUBSET_CAP}"):
+        contains_complete_bipartite(empty_graph(n), 3, 3)
 
 
 def brute_has_biclique(g, t, s):
@@ -376,6 +395,13 @@ def test_text_header_without_edge_count_is_value_error():
     ("3 2\n0 1\n", "header promises 2 edges, found 1 edge lines"),
     ("3 1\n0 1 2\n", "edge line must be 'u v', got '0 1 2'"),
     ("3 1\n0\n", "edge line must be 'u v', got '0'"),
+    ("1_0 0\n", "must be ASCII digits, got '1_0'"),
+    ("\u0665 0\n", "must be ASCII digits, got '\u0665'"),
+    ("+3 0\n", "must be ASCII digits, got '\\+3'"),
+    ("3 +0\n", "must be ASCII digits, got '\\+0'"),
+    ("3 1\n0 -1\n", "must be ASCII digits, got '-1'"),
+    ("3 1\n\uff10 1\n", "must be ASCII digits, got '\uff10'"),
+    ("3 1\n0 1.0\n", "must be ASCII digits, got '1.0'"),
 ])
 def test_text_rejects_unexpected_input(text, message):
     with pytest.raises(ValueError, match=message):

@@ -710,7 +710,6 @@ def test_table_arithmetic_matches_field_spec(q):
     expected_add = [f.index(f.add(f.element(x), f.element(y))) for x, y in zip(a.tolist(), b.tolist())]
     assert tab.mul(a, b).tolist() == expected_mul
     assert tab.add(a, b).tolist() == expected_add
-    assert all(tab.elements[i] == f.element(i) for i in range(q)) and len(tab.elements) == q
     assert tab.order[0] == 0
     assert tab.order[1:].tolist() == [multiplicative_order_loop(f, f.element(i)) for i in range(1, q)]
 

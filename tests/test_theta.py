@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from thetalab import theta as theta_mod
 from thetalab.constructions import clique_union, furedi_graph, polarity_graph
 from thetalab.errors import (
     ComplexityRefused,
@@ -110,7 +111,7 @@ def test_theta_petersen():
     r = theta_sdp(petersen(), tol=1e-5)
     assert r.gap <= 1e-5
     assert r.lower - 1e-9 <= 4.0 <= r.upper + 1e-9
-    assert transitive_identity_check(petersen(), tol=1e-4)
+    assert transitive_identity_check(petersen())
 
 
 def test_certificates_are_feasible():
@@ -164,17 +165,11 @@ def test_solver_caps():
         theta_sdp(empty_graph(0))
 
 
-def test_solver_cap_env_override(monkeypatch):
-    monkeypatch.setenv("LAB_MAX_N", "6")
-    with pytest.raises(ComplexityRefused):
+def test_solver_n_cap_constant(monkeypatch):
+    monkeypatch.setattr(theta_mod, "SOLVER_N_CAP", 6)
+    with pytest.raises(ComplexityRefused, match="n = 7 exceeds solver cap 6"):
         theta_sdp(empty_graph(7))
     assert theta_sdp(empty_graph(6)).upper == pytest.approx(6.0, abs=1e-8)
-    monkeypatch.setenv("LAB_MAX_N", "0")
-    with pytest.raises(PreconditionViolated):
-        theta_sdp(empty_graph(1))
-    monkeypatch.setenv("LAB_MAX_N", "abc")
-    with pytest.raises(PreconditionViolated, match="LAB_MAX_N.*'abc'"):
-        theta_sdp(empty_graph(1))
 
 
 def test_solver_is_deterministic():
@@ -249,6 +244,11 @@ def test_handle_preconditions():
         theta_upper_from_rep(rep, np.array([0.0, 0.0, 2.0]))
     with pytest.raises(PreconditionViolated):
         theta_lower_from_rep(rep, np.array([1.0, 0.0]))
+    for bad in (math.nan, math.inf, -math.inf):
+        for bound in (theta_upper_from_rep, theta_lower_from_rep):
+            for handle in ([bad, 0.0, 0.0], [0.0, 0.0, bad], [1.0, bad, 0.0]):
+                with pytest.raises(PreconditionViolated, match="unit vector"):
+                    bound(rep, handle)
 
 
 def test_sandwich_validity_on_random_graphs():
@@ -294,13 +294,14 @@ def test_length_bound_pairs():
     assert L_bounds(complete_graph(n), 1.0, float(n)) == (float(n), math.sqrt(n * n))
     lo, hi = L_bounds(empty_graph(n), float(n), 1.0)
     assert abs(lo - math.sqrt(n)) <= 1e-12 and abs(hi - math.sqrt(n)) <= 1e-12
-    with pytest.raises(PreconditionViolated):
-        L_bounds(cycle_graph(5), 0.5, 2.0)
+    for pair in ((0.5, 2.0), (math.nan, SQRT5), (SQRT5, math.nan), (-math.inf, SQRT5)):
+        with pytest.raises(PreconditionViolated, match="always >= 1"):
+            L_bounds(cycle_graph(5), *pair)
 
 
 def test_transitive_identity_on_closed_forms():
-    assert transitive_identity_check(complete_graph(4), tol=1e-4)
-    assert transitive_identity_check(cycle_graph(5), tol=1e-4)
+    assert transitive_identity_check(complete_graph(4))
+    assert transitive_identity_check(cycle_graph(5))
 
 
 def test_bound_formula_reports():
@@ -320,6 +321,15 @@ def test_bound_formula_reports():
         bound_formula_check(complete_graph(3), "odd", 1)
     with pytest.raises(PreconditionViolated):
         bound_formula_check(cycle_graph(5), "diagonal", 1)
+
+
+def test_bound_formula_above_the_solver_cap_uses_the_spectral_bound(monkeypatch):
+    g = polarity_graph(3)
+    monkeypatch.setattr(theta_mod, "SOLVER_N_CAP", g.n - 1)
+    out = bound_formula_check(g, "even", 2)
+    assert out.value_is_certified_upper is False
+    assert out.theta_value == theta_spectral_lower_of_complement(g)
+    assert out.ok and out.margin == out.formula_bound - out.theta_value
 
 
 def test_bound_formula_up_to_the_float64_limit():
