@@ -12,20 +12,10 @@ import argparse
 import json
 import sys
 
-from .constructions import clique_union, clique_union_parts, furedi_graph, polarity_graph_with_loops
+# Handlers reach each layer through its module, which the package registers
+# lazily, so building the parser runs no layer and a command runs only its own.
+from . import constructions, experiments, graph, linalg, ortho, theta
 from .errors import GapNotReached, PreconditionViolated, ThetalabError
-from .experiments import EXPERIMENT_NAMES, run_experiments
-from .graph import complement, contains_pattern, graph_from_json, graph_to_json, parse_pattern
-from .linalg import adjacency_sym, eigen_sym
-from .ortho import (
-    gram,
-    msr_lower_chain_check,
-    rep_from_json,
-    schnirelmann_check,
-    trace_power_certificate,
-    validate_rep,
-)
-from .theta import DEFAULT_ITERATION_CAP, DEFAULT_TOL, theta_sdp
 
 
 def _f(x: float) -> str:
@@ -74,32 +64,34 @@ def _load(path: str, parse, kind: str):
 
 def cmd_construct(args) -> int:
     if args.family == "furedi":
-        fg = furedi_graph(args.q, args.t)
+        fg = constructions.furedi_graph(args.q, args.t)
         g = fg.graph
         prov = {"family": "furedi", "q": args.q, "t": args.t,
                 "loops_removed": sorted(fg.loops_removed)}
     elif args.family == "polarity":
-        g, absolute = polarity_graph_with_loops(args.q)
+        g, absolute = constructions.polarity_graph_with_loops(args.q)
         prov = {"family": "polarity", "q": args.q, "loops_removed": sorted(absolute)}
     else:
         if args.n < 1 or args.t < 1:
             raise PreconditionViolated(f"need --n >= 1 and --t >= 1, got --n {args.n} --t {args.t}")
-        g = clique_union(args.n, args.t)
+        g = constructions.clique_union(args.n, args.t)
         prov = {"family": "cliques", "n": args.n, "t": args.t,
-                "parts": [len(p) for p in clique_union_parts(args.n, args.t)]}
-    obj = graph_to_json(g)
+                "parts": [len(p) for p in constructions.clique_union_parts(args.n, args.t)]}
+    obj = graph.graph_to_json(g)
     obj["provenance"] = prov
     _emit(obj, args.out)
     return 0
 
 
 def cmd_theta(args) -> int:
-    g = _load(args.graph, graph_from_json, "graph")
+    g = _load(args.graph, graph.graph_from_json, "graph")
     if args.complement:
-        g = complement(g)
+        g = graph.complement(g)
+    tol = theta.DEFAULT_TOL if args.tol is None else args.tol
+    cap = theta.DEFAULT_ITERATION_CAP if args.iteration_cap is None else args.iteration_cap
     code = 0
     try:
-        r = theta_sdp(g, tol=args.tol, iteration_cap=args.iteration_cap)
+        r = theta.theta_sdp(g, tol=tol, iteration_cap=cap)
     except GapNotReached as exc:
         r = exc.result
         print(f"warning: {exc}", file=sys.stderr)
@@ -125,10 +117,10 @@ def cmd_theta(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    g = _load(args.graph, graph_from_json, "graph")
+    g = _load(args.graph, graph.graph_from_json, "graph")
     if g.n == 0:
         raise PreconditionViolated("graph must have at least one vertex")
-    spec = eigen_sym(adjacency_sym(g))
+    spec = linalg.eigen_sym(linalg.adjacency_sym(g))
     if args.json:
         _emit({"n": g.n,
                "eigenvalues": [float(v) for v in spec.eigenvalues],
@@ -140,9 +132,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_check_free(args) -> int:
-    parse_pattern(args.pattern)  # reject malformed names before touching the file
-    g = _load(args.graph, graph_from_json, "graph")
-    found = contains_pattern(g, args.pattern)
+    graph.parse_pattern(args.pattern)  # reject malformed names before touching the file
+    g = _load(args.graph, graph.graph_from_json, "graph")
+    found = graph.contains_pattern(g, args.pattern)
     if args.json:
         _emit({"pattern": args.pattern.strip().upper(), "free": not found, "n": g.n}, None)
     else:
@@ -151,9 +143,9 @@ def cmd_check_free(args) -> int:
 
 
 def cmd_rep(args) -> int:
-    rep = _load(args.file, rep_from_json, "representation")
+    rep = _load(args.file, ortho.rep_from_json, "representation")
     if args.action == "validate":
-        out = validate_rep(rep, rep.target)
+        out = ortho.validate_rep(rep, rep.target)
         if args.json:
             _emit({"valid": out.ok, "max_residual": out.max_residual,
                    "d": rep.d, "n": rep.n}, None)
@@ -162,7 +154,7 @@ def cmd_rep(args) -> int:
             print(f"max_residual: {_f(out.max_residual)}")
         return 0 if out.ok else 1
     if args.action == "gram":
-        m = gram(rep).dense()
+        m = ortho.gram(rep).dense()
         if args.json:
             _emit({"gram": m.tolist(), "n": rep.n}, None)
         else:
@@ -171,7 +163,7 @@ def cmd_rep(args) -> int:
         return 0
     # certify
     if args.check == "schnirelmann":
-        out = schnirelmann_check(gram(rep))
+        out = ortho.schnirelmann_check(ortho.gram(rep))
         body = {"check": "schnirelmann", "ok": out.ok, "lhs": out.lhs, "rhs": out.rhs,
                 "rank": out.rank, "slack": out.slack}
         lines = [f"tr(M)^2: {_f(out.lhs)}", f"rank * tr(M^2): {_f(out.rhs)}",
@@ -179,14 +171,14 @@ def cmd_rep(args) -> int:
     elif args.check == "trace-power":
         if args.parity is None:
             raise PreconditionViolated("certify trace-power needs --parity")
-        out = trace_power_certificate(rep, rep.target, args.t, args.parity)
+        out = ortho.trace_power_certificate(rep, rep.target, args.t, args.parity)
         body = {"check": "trace-power", "ok": out.ok, "parity": out.parity, "t": out.t,
                 "power": out.power, "trace": out.trace_value, "bound": out.bound,
                 "lambda_top": out.lam_top, "lambda_bound": out.lam_bound}
         lines = [f"tr(M^{out.power}): {_f(out.trace_value)}", f"bound: {_f(out.bound)}",
                  f"lambda_top: {_f(out.lam_top)}", f"lambda_bound: {_f(out.lam_bound)}"]
     else:
-        out = msr_lower_chain_check(rep, rep.target, args.t)
+        out = ortho.msr_lower_chain_check(rep, rep.target, args.t)
         body = {"check": "msr-chain", "ok": out.ok, "d": out.dimension,
                 "trace_sq": out.trace_sq, "n": out.n, "t": out.t}
         lines = [f"d: {out.dimension}", f"tr(M^2): {_f(out.trace_sq)}",
@@ -205,8 +197,8 @@ def cmd_verify_paper(args) -> int:
         raise PreconditionViolated(f"need --seed >= 0, got {args.seed}")
     names = [name for name in args.experiment if name != "all"]
     if "all" in args.experiment:
-        names += EXPERIMENT_NAMES
-    reports = run_experiments(names, seed=args.seed)
+        names += experiments.EXPERIMENT_NAMES
+    reports = experiments.run_experiments(names, seed=args.seed)
     if args.json:
         payload = [r.to_json() for r in reports]
         _emit(payload[0] if len(payload) == 1 else payload, None)
@@ -252,8 +244,8 @@ def _parser() -> argparse.ArgumentParser:
     t = sub.add_parser("theta", help="certified theta bracket for a graph file")
     t.add_argument("--graph", required=True)
     t.add_argument("--complement", action="store_true")
-    t.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    t.add_argument("--iteration-cap", type=int, default=DEFAULT_ITERATION_CAP)
+    t.add_argument("--tol", type=float)
+    t.add_argument("--iteration-cap", type=int)
     t.add_argument("--json", action="store_true")
     t.set_defaults(func=cmd_theta)
 
@@ -287,7 +279,7 @@ def _parser() -> argparse.ArgumentParser:
     vs = v.add_subparsers(dest="what", required=True)
     vp = vs.add_parser("paper", help="run named experiments and report checks")
     vp.add_argument("--experiment", action="append", required=True,
-                    help=f"one of: {', '.join(EXPERIMENT_NAMES)}, or all; repeatable")
+                    help="an experiment name, or all; repeatable")
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--json", action="store_true")
     vp.set_defaults(func=cmd_verify_paper)

@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import ComplexityRefused, OrderUnavailable
 from .ffield import FieldElement, field_from_order, field_tables, order_split, require_order
-from .graph import GRAPH_N_CAP, Graph, from_row_blocks, refuse_above_vertex_cap
-from .linalg import adjacency_dense
+from .graph import GRAPH_N_CAP, Graph, adjacency_rows, from_row_blocks, refuse_above_vertex_cap
 
 # largest vertex count a field construction builds, the graph vertex cap;
 # its bitset rows and their packed copy take n^2/8 bytes each
@@ -179,7 +178,7 @@ def furedi_square_identity(fg: FurediGraph) -> SquareIdentityReport:
     """
     g = fg.graph
     n = g.n
-    a = adjacency_dense(g).astype(np.int64)
+    a = adjacency_rows(g).astype(np.int64)
     loops = list(fg.loops_removed)
     a[loops, loops] = 1
     a2 = a @ a

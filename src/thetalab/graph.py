@@ -564,18 +564,24 @@ def _text_int(token: str) -> int:
 
 
 def graph_from_text(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse graph_to_text's format.
+
+    Lines end at "\n" or "\r\n" and tokens are separated by ASCII spaces
+    and tabs only, so any other separator (a no-break space, a Unicode line
+    separator, a lone "\r") stays inside a token and is refused.
+    """
+    lines = [(ln, re.findall(r"[^ \t]+", ln)) for ln in text.replace("\r\n", "\n").split("\n")]
+    lines = [(ln, tokens) for ln, tokens in lines if tokens]
     if not lines:
         raise ValueError("empty edge-list text")
-    head = lines[0].split()
+    (head_line, head), *edge_lines = lines
     if len(head) != 2:
-        raise ValueError(f"edge-list header must be 'n m', got {lines[0]!r}")
+        raise ValueError(f"edge-list header must be 'n m', got {head_line!r}")
     n, m = _text_int(head[0]), _text_int(head[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"header promises {m} edges, found {len(lines) - 1} edge lines")
+    if len(edge_lines) != m:
+        raise ValueError(f"header promises {m} edges, found {len(edge_lines)} edge lines")
     edges = []
-    for ln in lines[1:]:
-        ends = ln.split()
+    for ln, ends in edge_lines:
         if len(ends) != 2:
             raise ValueError(f"edge line must be 'u v', got {ln!r}")
         edges.append((_text_int(ends[0]), _text_int(ends[1])))

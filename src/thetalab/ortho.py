@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constructions import clique_union, clique_union_parts
 from .errors import (
     DimensionMismatch,
     NotACliqueCover,
@@ -235,6 +234,8 @@ def msr_upper_certificate(n: int, t: int, pattern: str) -> tuple[OrthoRep, Graph
     Builds clique_union(n, t), verifies the requested freeness, and returns
     the ceil(n/t)-dimensional basis representation with the graph.
     """
+    from .constructions import clique_union, clique_union_parts  # the only use; keeps ortho off ffield
+
     kind, arg = parse_pattern(pattern)
     g = clique_union(n, t)
     if kind == "cycle":

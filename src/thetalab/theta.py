@@ -231,8 +231,8 @@ def theta_lower_from_rep(rep: OrthoRep, x) -> float:
 
 def L_bounds(g: Graph, theta_g: float, theta_gbar: float) -> tuple[float, float]:
     """Vector-sum-length sandwich (n/sqrt(theta(G)), sqrt(n*theta(Gbar)))."""
-    if not (theta_g >= 1.0 and theta_gbar >= 1.0):  # NaN fails too
-        raise PreconditionViolated("theta values are always >= 1")
+    if not (1.0 <= theta_g < math.inf and 1.0 <= theta_gbar < math.inf):  # NaN fails too
+        raise PreconditionViolated("theta values are always >= 1 and finite")
     n = g.n
     return n / math.sqrt(theta_g), math.sqrt(n * theta_gbar)
 

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import importlib
 import inspect
 import json
 import math
@@ -326,12 +327,17 @@ def test_experiment_name_listing_is_complete():
 PACKAGE_DIR = Path(thetalab.__file__).resolve().parent
 
 
-def run_child(cwd, argv, **env_extra):
-    """Exit code and stdout bytes of a fresh thetalab process; runtime_ms is blanked."""
+def child_env(**env_extra):
+    """The environment of a child process that imports this thetalab."""
     env = {k: v for k, v in os.environ.items() if k != "LAB_MAX_N"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
     env.update(env_extra)
-    proc = subprocess.run([sys.executable, "-m", "thetalab.cli", *argv], cwd=cwd, env=env,
+    return env
+
+
+def run_child(cwd, argv, **env_extra):
+    """Exit code and stdout bytes of a fresh thetalab process; runtime_ms is blanked."""
+    proc = subprocess.run([sys.executable, "-m", "thetalab.cli", *argv], cwd=cwd, env=child_env(**env_extra),
                           capture_output=True, timeout=120)
     return proc.returncode, re.sub(rb'"runtime_ms": [0-9]+', b'"runtime_ms": 0', proc.stdout)
 
@@ -364,3 +370,91 @@ def test_limits_are_module_constants():
                transitive_identity_check, Spectrum.rank, numeric_rank):
         assert not {"cap", "tol"} & set(inspect.signature(fn).parameters), fn.__name__
     assert not hasattr(thetalab, "solver_cap")
+
+
+# every name the package exported before its submodules were registered lazily
+PACKAGE_EXPORTS = {
+    "errors": "ComplexityRefused ConvergenceFailure DimensionMismatch DivisionByZero GapNotReached "
+              "HandleOrthogonalToVector IndexOutOfRange LoopRejected NoEdges NotACliqueCover NotPrime "
+              "OrderUnavailable Overflow PreconditionViolated RepInvalid ThetalabError UnsupportedPattern",
+    "ffield": "FieldElement FieldSpec element_of_order field_create field_from_order is_prime prime_power_split "
+              "subgroup",
+    "graph": "Graph LayerColoringReport bfs_layers chromatic_number_exact complement complete_graph contains_clique "
+             "contains_complete_bipartite contains_cycle contains_pattern cycle_graph empty_graph from_edges "
+             "graph_from_json graph_from_text graph_to_json graph_to_text induced_subgraph layer_chromatic_check "
+             "max_clique_size parse_pattern",
+    "linalg": "Spectrum SymMatrix adjacency_dense adjacency_sym eigen_sym eigvals_sym numeric_rank psd_project "
+              "sym_from_dense trace_power",
+    "constructions": "FurediGraph SquareIdentityReport clique_union clique_union_parts furedi_graph "
+                     "furedi_square_identity polarity_graph polarity_graph_with_loops",
+    "ortho": "MsrChainReport OrthoRep RepValidation SchnirelmannReport TracePowerReport basis_rep_from_clique_cover "
+             "gram greedy_clique_cover msr_lower_chain_check msr_upper_certificate random_rep rep_from_json "
+             "rep_sum_length rep_sum_length_aligned rep_to_json schnirelmann_check trace_power_certificate "
+             "umbrella_rep validate_rep",
+    "theta": "BoundFormulaReport L_bounds ThetaResult bound_formula_check theta_lower_from_rep theta_sdp "
+             "theta_spectral_lower_of_complement theta_upper_from_rep transitive_identity_check",
+    "experiments": "EXPERIMENT_NAMES ExperimentCheck ExperimentReport run_experiment run_experiments",
+}
+
+
+@pytest.mark.parametrize("module", PACKAGE_EXPORTS)
+def test_package_names_are_their_modules_names(module):
+    owner = importlib.import_module(f"thetalab.{module}")
+    assert getattr(thetalab, module) is owner is sys.modules[f"thetalab.{module}"]
+    for name in PACKAGE_EXPORTS[module].split():
+        assert getattr(thetalab, name) is getattr(owner, name), name
+        assert name in thetalab.__all__ and name in dir(thetalab), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        thetalab.no_such_name  # noqa: B018
+
+
+# run in a fresh process: which thetalab modules are registered, and which have run
+_LAYER_PROBE = """
+import json, sys, types
+import thetalab.cli
+
+def executed():
+    return sorted(k.removeprefix("thetalab.") for k, m in sys.modules.items()
+                  if k.startswith("thetalab.") and k != "thetalab.cli" and type(m) is types.ModuleType)
+
+registered = sorted(k.removeprefix("thetalab.") for k in sys.modules if k.startswith("thetalab."))
+thetalab.cli._parser()
+at_start = executed()
+code = thetalab.cli.main(sys.argv[1:])
+print(json.dumps([registered, at_start, executed(), code]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, layers", [
+    ("check free --pattern C4 --graph c5.json", "errors graph"),
+    ("spectrum --graph c5.json", "errors graph linalg"),
+    ("construct cliques --n 4 --t 2", "constructions errors ffield graph"),
+    ("rep validate --file rep.json", "errors graph linalg ortho"),
+    ("theta --graph c5.json", "errors graph linalg ortho theta"),
+], ids=["check-free", "spectrum", "construct", "rep", "theta"])
+def test_commands_run_only_their_layers(tmp_path, argv, layers):
+    write_graph(tmp_path / "c5.json", cycle_graph(5))
+    (tmp_path / "rep.json").write_text(json.dumps(rep_to_json(umbrella_rep())))
+    proc = subprocess.run([sys.executable, "-c", _LAYER_PROBE, *argv.split()], cwd=tmp_path, env=child_env(),
+                          capture_output=True, timeout=120)
+    registered, at_start, after, code = json.loads(proc.stderr.splitlines()[-1])
+    assert registered == sorted(["cli", *PACKAGE_EXPORTS])
+    assert at_start == ["errors"]  # building the parser runs no layer
+    assert (after, code) == (layers.split(), 0)
+
+
+def test_module_run_writes_nothing_to_stderr(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "thetalab.cli", "construct", "cliques", "--n", "4", "--t", "2"],
+                          cwd=tmp_path, env=child_env(), capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout)["provenance"]["parts"] == [2, 2]
+
+
+def test_theta_flags_default_to_the_solver_constants(tmp_path):
+    from thetalab.theta import DEFAULT_ITERATION_CAP, DEFAULT_TOL
+
+    assert (DEFAULT_TOL, DEFAULT_ITERATION_CAP) == (1e-6, 50_000)
+    write_graph(tmp_path / "c5.json", cycle_graph(5))
+    plain = run_child(tmp_path, ["theta", "--graph", "c5.json"])
+    assert plain[0] == 0 and plain[1].startswith(b"n: 5\n")
+    assert run_child(tmp_path, ["theta", "--graph", "c5.json", "--tol", "1e-6", "--iteration-cap", "50000"]) == plain

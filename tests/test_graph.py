@@ -402,10 +402,21 @@ def test_text_header_without_edge_count_is_value_error():
     ("3 1\n0 -1\n", "must be ASCII digits, got '-1'"),
     ("3 1\n\uff10 1\n", "must be ASCII digits, got '\uff10'"),
     ("3 1\n0 1.0\n", "must be ASCII digits, got '1.0'"),
+    ("3 1\u20280\xa01\n", r"must be ASCII digits, got '1\\u20280\\xa01'"),
 ])
 def test_text_rejects_unexpected_input(text, message):
     with pytest.raises(ValueError, match=message):
         graph_from_text(text)
+
+
+def test_text_splits_on_ascii_separators_only():
+    assert graph_from_text("3 1\r\n0\t 1\n\t\n") == from_edges(3, [(0, 1)])
+    # str.splitlines and str.split also break at these; the edge-list format does not
+    for sep in ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\xa0", "\u1680", "\u2003", "\u2028", "\u2029",
+                "\u3000"):
+        for text in (f"3 1{sep}0 1\n", f"3 1\n0{sep}1\n"):
+            with pytest.raises(ValueError):
+                graph_from_text(text)
 
 
 _TOKENS = st.one_of(st.integers(-2, 9).map(str),

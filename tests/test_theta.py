@@ -294,7 +294,8 @@ def test_length_bound_pairs():
     assert L_bounds(complete_graph(n), 1.0, float(n)) == (float(n), math.sqrt(n * n))
     lo, hi = L_bounds(empty_graph(n), float(n), 1.0)
     assert abs(lo - math.sqrt(n)) <= 1e-12 and abs(hi - math.sqrt(n)) <= 1e-12
-    for pair in ((0.5, 2.0), (math.nan, SQRT5), (SQRT5, math.nan), (-math.inf, SQRT5)):
+    for pair in ((0.5, 2.0), (math.nan, SQRT5), (SQRT5, math.nan), (-math.inf, SQRT5),
+                 (math.inf, SQRT5), (SQRT5, math.inf), (math.inf, math.inf), (SQRT5, -math.inf)):
         with pytest.raises(PreconditionViolated, match="always >= 1"):
             L_bounds(cycle_graph(5), *pair)
 
