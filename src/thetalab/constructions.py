@@ -12,7 +12,7 @@ gathered once per graph.  Each entry then costs one add of two additive codes an
 table that marks the code sums in the subgroup (scaling classes), or one
 comparison of x·x' + y·y' with -z·z' (polarity).  graph.from_row_blocks
 packs the blocks into the graph's packed rows as they come.  Both check
-the vertex count against CONSTRUCTION_N_CAP before building the field.
+the vertex count against the graph vertex cap before building the field.
 """
 
 from __future__ import annotations
@@ -22,13 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplexityRefused, OrderUnavailable
+from .errors import OrderUnavailable
 from .ffield import FieldElement, field_from_order, field_tables, order_split, require_order
-from .graph import GRAPH_N_CAP, Graph, adjacency_rows, from_row_blocks, refuse_above_vertex_cap
+from .graph import Graph, adjacency_rows, from_row_blocks, refuse_above_vertex_cap
 
-# largest vertex count a field construction builds, the graph vertex cap;
-# its bitset rows and their packed copy take n^2/8 bytes each
-CONSTRUCTION_N_CAP = GRAPH_N_CAP
 # entries per block of rows of a construction's adjacency mask: 64-128 KB
 # per temporary
 BLOCK_ENTRIES = 1 << 14
@@ -64,11 +61,6 @@ class FurediGraph:
     def scaling_subgroup(self) -> tuple[FieldElement, ...]:
         element = field_from_order(self.q).element
         return tuple(element(i) for i in self.subgroup_indices)
-
-
-def _refuse_above_cap(name: str, n: int) -> None:
-    if n > CONSTRUCTION_N_CAP:
-        raise ComplexityRefused(f"{name} has n = {n} vertices, above the construction cap {CONSTRUCTION_N_CAP}")
 
 
 @functools.lru_cache(maxsize=128)
@@ -123,7 +115,7 @@ def furedi_graph(q: int, t: int) -> FurediGraph:
     order_split(q)  # refuse a bad order, then an oversized graph, before the modulus search
     require_order(q, t)
     n = (q * q - 1) // t
-    _refuse_above_cap(f"furedi({q}, {t})", n)
+    refuse_above_vertex_cap(n)
     tab = field_tables(field_from_order(q))
     sub = tab.subgroup(tab.element_of_order(t), t)
     in_sub = np.zeros(q, dtype=bool)
@@ -204,7 +196,7 @@ def polarity_graph_with_loops(q: int) -> tuple[Graph, tuple[int, ...]]:
     """
     order_split(q)  # refuse a bad order, then an oversized graph, before the modulus search
     n = q * q + q + 1
-    _refuse_above_cap(f"polarity({q})", n)
+    refuse_above_vertex_cap(n)
     tab = field_tables(field_from_order(q))
     span = np.arange(q)
     x = np.concatenate([np.ones(q * q, dtype=np.int64), np.zeros(q + 1, dtype=np.int64)])

@@ -73,7 +73,7 @@ class ExperimentCheck:
             "claim": self.claim,
             "expected": self.expected,
             "observed": self.observed,
-            "tolerance": float(f"{self.tolerance:.9g}"),
+            "tolerance": self.tolerance,
             "pass": self.passed,
         }
 
@@ -264,7 +264,7 @@ def _run_schnirelmann(seed: int):
     for _ in range(100):
         k = int(rng.integers(1, 13))
         a = rng.standard_normal((k, k))
-        out = schnirelmann_check(_sym(a @ a.T))
+        out = schnirelmann_check(sym_from_dense(a @ a.T))
         psd_pass += out.ok
         worst = min(worst, out.slack)
     checks.append(_chk(
@@ -272,19 +272,15 @@ def _run_schnirelmann(seed: int):
         "100/100", f"{psd_pass}/100, min slack {worst:.9g}", 1e-6, psd_pass == 100))
     eq_worst = 0.0
     for m in (
-        _sym(np.eye(6)),
+        sym_from_dense(np.eye(6)),
         gram(basis_rep_from_clique_cover(clique_union(4, 2), clique_union_parts(4, 2))),
-        _sym(np.ones((5, 5))),
+        sym_from_dense(np.ones((5, 5))),
     ):
         eq_worst = max(eq_worst, abs(schnirelmann_check(m).slack))
     checks.append(_chk(
         "schnirelmann_check", "equality cases (identity, block-constant Grams) have |slack| <= 1e-06",
         "<= 1e-06", eq_worst, 1e-6, eq_worst <= 1e-6))
     return {"rep_samples": 100, "psd_samples": 100}, checks
-
-
-def _sym(a):
-    return sym_from_dense(a, tol=1e-8)
 
 
 def _run_msr_cycle(seed: int):
@@ -329,34 +325,24 @@ def _run_msr_cycle(seed: int):
 
 def _run_trace_power(seed: int):
     rng = np.random.default_rng(seed)
-    odd_pass = lam_odd_pass = 0
-    for i in range(50):
-        n = int(rng.integers(4, 17))
-        g = _cycle_free_graph(n, 3, rng)
-        rep = random_rep(g, seed=seed * 2000 + i)
-        out = trace_power_certificate(rep, g, 1, "odd")
-        odd_pass += out.trace_ok
-        lam_odd_pass += out.lam_ok
-    checks = [
-        _chk("trace_power_certificate", "tr(M^3) <= 36 n for 50 reps of triangle-free graphs (n <= 16)",
-             "50/50", f"{odd_pass}/50", 1e-8, odd_pass == 50),
-        _chk("trace_power_certificate", "lambda_1(M) <= (36 n)^(1/3) for the same reps",
-             "50/50", f"{lam_odd_pass}/50", 1e-8, lam_odd_pass == 50),
-    ]
-    even_pass = lam_even_pass = 0
-    for i in range(20):
-        n = int(rng.integers(4, 17))
-        g = _cycle_free_graph(n, 4, rng)
-        rep = random_rep(g, seed=seed * 3000 + i)
-        out = trace_power_certificate(rep, g, 2, "even")
-        even_pass += out.trace_ok
-        lam_even_pass += out.lam_ok
-    checks.append(_chk(
-        "trace_power_certificate", "tr(M^4) <= 24^4 n for 20 reps of C4-free graphs",
-        "20/20", f"{even_pass}/20", 1e-8, even_pass == 20))
-    checks.append(_chk(
-        "trace_power_certificate", "lambda_1(M) <= (24^4 n)^(1/4) for the same reps",
-        "20/20", f"{lam_even_pass}/20", 1e-8, lam_even_pass == 20))
+    checks = []
+    # (parity, t, forbidden cycle length, samples, rep seed stride, trace claim, lambda claim)
+    for parity, t, k, samples, stride, trace_claim, lam_claim in (
+        ("odd", 1, 3, 50, 2000, "tr(M^3) <= 36 n for 50 reps of triangle-free graphs (n <= 16)",
+         "lambda_1(M) <= (36 n)^(1/3) for the same reps"),
+        ("even", 2, 4, 20, 3000, "tr(M^4) <= 24^4 n for 20 reps of C4-free graphs",
+         "lambda_1(M) <= (24^4 n)^(1/4) for the same reps"),
+    ):
+        trace_pass = lam_pass = 0
+        for i in range(samples):
+            n = int(rng.integers(4, 17))
+            g = _cycle_free_graph(n, k, rng)
+            out = trace_power_certificate(random_rep(g, seed=seed * stride + i), g, t, parity)
+            trace_pass += out.trace_ok
+            lam_pass += out.lam_ok
+        for claim, passed in ((trace_claim, trace_pass), (lam_claim, lam_pass)):
+            checks.append(_chk("trace_power_certificate", claim, f"{samples}/{samples}", f"{passed}/{samples}",
+                               1e-8, passed == samples))
     return {"odd_samples": 50, "even_samples": 20, "n_max": 16}, checks
 
 

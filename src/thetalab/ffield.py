@@ -29,18 +29,7 @@ ORDER_CAP = 2**31
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_factors(p) == [p]
 
 
 def prime_factors(m: int) -> list[int]:
@@ -60,8 +49,6 @@ def prime_factors(m: int) -> list[int]:
 
 def prime_power_split(q: int) -> tuple[int, int]:
     """Factor q as p^alpha with p prime, or raise NotPrime."""
-    if q < 2:
-        raise NotPrime(f"{q} is not a prime power")
     ps = prime_factors(q)
     if len(ps) != 1:
         raise NotPrime(f"{q} is not a prime power")
@@ -71,8 +58,6 @@ def prime_power_split(q: int) -> tuple[int, int]:
     while m > 1:
         m //= p
         alpha += 1
-    if p**alpha != q:
-        raise NotPrime(f"{q} is not a prime power")
     return p, alpha
 
 
@@ -307,7 +292,7 @@ class FieldTables:
     p = 2 the code is the index, codes combine by xor, and fold is the
     identity.  So add is one gather, fold[code[a] + code[b]] (a xor for
     p = 2), and sum_test folds a membership test into that gather.  The
-    largest fold under the construction cap is 5^9 entries, about 16 MB,
+    largest fold under the vertex cap is 5^9 entries, about 16 MB,
     for q = 3^9; every other table has O(q) entries.  order[i] is the
     multiplicative order of element i (order[0] = 0).  mul, add and neg act
     elementwise on index arrays of any shape.

@@ -27,8 +27,8 @@ from .errors import (
 
 BICLIQUE_SUBSET_CAP = 10**7
 CHROMATIC_N_CAP = 40
-# largest vertex count from_edges builds: the bitset rows alone take n^2/8
-# bytes, and Graph.packed holds them once more once it is read
+# largest vertex count any graph is built with (refuse_above_vertex_cap): the
+# bitset rows alone take n^2/8 bytes, and Graph.packed holds them once more
 GRAPH_N_CAP = 20_000
 # rows of A per codegree tile, unpacked from Graph.packed, and per batch of
 # row ints made by from_row_blocks
@@ -340,8 +340,6 @@ def contains_clique(g: Graph, t: int) -> bool:
     """True iff g has a clique on t vertices."""
     if t < 1:
         raise PreconditionViolated("clique size must be >= 1")
-    if t == 1:
-        return g.n >= 1
     return max_clique_size(g, stop_at=t) >= t
 
 
@@ -434,8 +432,6 @@ def chromatic_number_exact(g: Graph) -> int:
         raise ComplexityRefused(f"n = {g.n} exceeds chromatic cap {CHROMATIC_N_CAP}")
     if g.n == 0:
         return 0
-    if g.edge_count() == 0:
-        return 1
     lower = max_clique_size(g)
     upper = _greedy_coloring_bound(g)
     k = lower

@@ -25,6 +25,7 @@ from .graph import Graph, adjacency_rows
 
 _EPS = float(np.finfo(np.float64).eps)
 POWER_SUM_MAX = 64  # largest k that Spectrum.power_sum accepts
+SYMMETRY_TOL = 1e-10  # largest |a - a^T| that sym_from_dense accepts, relative to max(1, max|a|)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,9 +43,9 @@ class SymMatrix:
         return self.array
 
 
-def sym_from_dense(a, tol: float = 1e-10) -> SymMatrix:
-    """Symmetrize a dense array into a fresh copy; asymmetry beyond tol*scale,
-    or entries whose symmetrized value overflows, is an error."""
+def sym_from_dense(a) -> SymMatrix:
+    """Symmetrize a dense array into a fresh copy; asymmetry beyond
+    SYMMETRY_TOL*scale, or entries whose symmetrized value overflows, is an error."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
@@ -52,7 +53,7 @@ def sym_from_dense(a, tol: float = 1e-10) -> SymMatrix:
         raise ValueError("entries must be finite")
     n = a.shape[0]
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if n and float(np.max(np.abs(a - a.T))) > tol * scale:
+    if n and float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric")
     with np.errstate(over="ignore"):
         sym = (a + a.T) / 2.0
@@ -264,7 +265,7 @@ def eigen_sym(m: SymMatrix) -> Spectrum:
         raise ValueError("need n >= 1")
     a = m.dense()
     vals, vecs = eigh_dense(a)
-    resid = float(np.max(np.linalg.norm(a @ vecs - vecs * vals, axis=0))) if m.n else 0.0
+    resid = float(np.max(np.linalg.norm(a @ vecs - vecs * vals, axis=0)))
     return Spectrum(vals, vecs, resid)
 
 

@@ -83,7 +83,7 @@ def gram(rep: OrthoRep) -> SymMatrix:
         m = v.T @ v
     if not np.all(np.isfinite(m)):
         raise PreconditionViolated("Gram matrix overflows float64: vector entries are too large")
-    return sym_from_dense(m, tol=1e-8)
+    return sym_from_dense(m)
 
 
 def basis_rep_from_clique_cover(g: Graph, cover) -> OrthoRep:
@@ -247,9 +247,7 @@ def msr_upper_certificate(n: int, t: int, pattern: str) -> tuple[OrthoRep, Graph
     if not free:
         raise PreconditionViolated(f"clique_union({n},{t}) contains {pattern}")
     rep = basis_rep_from_clique_cover(g, clique_union_parts(n, t))
-    check = validate_rep(rep, g)
-    if not check.ok:
-        raise RepInvalid(f"certificate rep failed validation, residual {check.max_residual}")
+    require_valid_rep(rep, g)
     return rep, g
 
 

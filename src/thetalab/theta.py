@@ -178,8 +178,8 @@ def theta_sdp(g: Graph, tol: float = DEFAULT_TOL, iteration_cap: int = DEFAULT_I
         lower=best_lower,
         upper=best_upper,
         gap=best_upper - best_lower,
-        primal_x=sym_from_dense(best_x, tol=1e-7),
-        dual_b=sym_from_dense(best_b, tol=1e-7),
+        primal_x=sym_from_dense(best_x),
+        dual_b=sym_from_dense(best_b),
         iterations=iterations,
         graph=g,
     )

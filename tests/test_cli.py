@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import importlib
+import importlib.util
 import inspect
 import json
 import math
@@ -200,8 +201,8 @@ def test_bad_parameters_exit_two(capsys, argv, needle):
 
 
 @pytest.mark.parametrize("args, needle", [
-    (["construct", "furedi", "--q", "4999", "--t", "2"], "n = 12495000 vertices, above the construction cap 20000"),
-    (["construct", "polarity", "--q", "149"], "n = 22351 vertices, above the construction cap 20000"),
+    (["construct", "furedi", "--q", "4999", "--t", "2"], "n = 12495000 vertices, above the vertex cap 20000"),
+    (["construct", "polarity", "--q", "149"], "n = 22351 vertices, above the vertex cap 20000"),
     (["theta", "--graph", "{c5}", "--tol", "nan"], "tol must be finite"),
     (["theta", "--graph", "{c5}", "--tol", "inf"], "tol must be finite"),
     (["theta", "--graph", "{c5}", "--iteration-cap", "-5"], "iteration_cap must be >= 1"),
@@ -215,9 +216,9 @@ def test_bad_parameters_exit_two(capsys, argv, needle):
     (["spectrum", "--graph", "{huge_n}"], "is not a graph file: n = 100000000000000000000000 vertices, above the vertex cap 20000"),
     (["spectrum", "--graph", "{billion_n}"], "is not a graph file: n = 1000000000 vertices, above the vertex cap 20000"),
     # refused before the irreducible-modulus search of GF(2^30) and GF(3^19)
-    (["construct", "polarity", "--q", "1073741824"], "n = 1152921505680588801 vertices, above the construction cap"),
-    (["construct", "polarity", "--q", "1162261467"], "n = 1350851718835253557 vertices, above the construction cap"),
-    (["construct", "furedi", "--q", "1162261467", "--t", "2"], "n = 675425858836496044 vertices, above the construction cap"),
+    (["construct", "polarity", "--q", "1073741824"], "n = 1152921505680588801 vertices, above the vertex cap"),
+    (["construct", "polarity", "--q", "1162261467"], "n = 1350851718835253557 vertices, above the vertex cap"),
+    (["construct", "furedi", "--q", "1162261467", "--t", "2"], "n = 675425858836496044 vertices, above the vertex cap"),
     # refused before any row is built
     (["construct", "cliques", "--n", "99999999999", "--t", "1"], "n = 99999999999 vertices, above the vertex cap 20000"),
     # a 0-vertex graph has no spectrum; this ended in a ValueError traceback
@@ -362,12 +363,12 @@ def test_package_reads_no_environment():
 
 def test_limits_are_module_constants():
     from thetalab.graph import chromatic_number_exact, contains_complete_bipartite
-    from thetalab.linalg import Spectrum, numeric_rank
+    from thetalab.linalg import Spectrum, numeric_rank, sym_from_dense
     from thetalab.ortho import msr_lower_chain_check, validate_rep
     from thetalab.theta import transitive_identity_check
 
     for fn in (contains_complete_bipartite, chromatic_number_exact, validate_rep, msr_lower_chain_check,
-               transitive_identity_check, Spectrum.rank, numeric_rank):
+               transitive_identity_check, Spectrum.rank, numeric_rank, sym_from_dense):
         assert not {"cap", "tol"} & set(inspect.signature(fn).parameters), fn.__name__
     assert not hasattr(thetalab, "solver_cap")
 
@@ -406,6 +407,21 @@ def test_package_names_are_their_modules_names(module):
         assert name in thetalab.__all__ and name in dir(thetalab), name
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         thetalab.no_such_name  # noqa: B018
+
+
+def test_bench_tracer_hooks_resolve():
+    """Every name bench/tracer.py wraps or patches exists, so `bench/run.py --trace 1` can install."""
+    from thetalab.ffield import FieldSpec
+    from thetalab.theta import ThetaResult
+
+    spec = importlib.util.spec_from_file_location("bench_tracer", Path(__file__).parents[1] / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer._FUNCTIONS
+    for modname, attr, _, _ in tracer._FUNCTIONS:
+        assert callable(getattr(sys.modules[modname], attr, None)), f"{modname}.{attr}"
+    assert set(tracer._FIELD_OPS) <= set(vars(FieldSpec))
+    assert "__post_init__" in vars(ThetaResult)
 
 
 # run in a fresh process: which thetalab modules are registered, and which have run

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from thetalab import constructions
+from thetalab import graph
 from thetalab.constructions import (
     FurediGraph,
     clique_union,
@@ -106,9 +106,9 @@ def test_furedi_rejects_bad_subgroup_order():
 
 
 def test_field_constructions_refuse_above_vertex_cap(monkeypatch):
-    monkeypatch.setattr(constructions, "CONSTRUCTION_N_CAP", 12)
+    monkeypatch.setattr(graph, "GRAPH_N_CAP", 12)
     assert furedi_graph(5, 2).graph.n == 12
-    with pytest.raises(ComplexityRefused, match="polarity\\(3\\) has n = 13 vertices, above the construction cap 12"):
+    with pytest.raises(ComplexityRefused, match="n = 13 vertices, above the vertex cap 12"):
         polarity_graph_with_loops(3)
 
 

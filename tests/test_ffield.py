@@ -49,6 +49,27 @@ def test_prime_power_split():
     assert prime_power_split(49) == (7, 2)
     assert prime_power_split(32) == (2, 5)
     assert prime_power_split(17) == (17, 1)
+    limit = 5000
+    powers = {p**a: (p, a) for p in range(2, limit) if is_prime(p) for a in range(1, 13) if p**a < limit}
+    for q in range(-5, limit):
+        if q in powers:
+            assert prime_power_split(q) == powers[q], q
+        else:
+            with pytest.raises(NotPrime, match=f"^{q} is not a prime power$"):
+                prime_power_split(q)
+
+
+def test_field_create_refuses_degree_below_one():
+    for alpha in (0, -1):
+        with pytest.raises(ValueError, match="alpha must be >= 1"):
+            field_create(5, alpha)
+
+
+def test_element_refuses_index_outside_the_field():
+    f9 = field_from_order(9)
+    for i in (-1, 9):
+        with pytest.raises(ValueError, match=f"element index {i} outside \\[0, 9\\)"):
+            f9.element(i)
 
 
 def test_gf4_modulus_is_x2_x_1():
@@ -215,3 +236,9 @@ def test_subgroup_closed():
 
 def test_is_prime_small():
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    limit = 20_000
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, limit, p))
+    assert [p for p in range(-50, limit) if is_prime(p)] == [p for p in range(limit) if sieve[p]]

@@ -251,6 +251,7 @@ def test_clique_examples():
     assert not contains_clique(cycle_graph(5), 3)
     assert not contains_clique(complement(cycle_graph(5)), 3)
     assert contains_clique(empty_graph(3), 1)
+    assert not contains_clique(empty_graph(0), 1)
     with pytest.raises(PreconditionViolated):
         contains_clique(empty_graph(3), 0)
 
@@ -275,6 +276,9 @@ def test_bfs_layers_examples():
     # unreachable vertices omitted
     two = from_edges(4, [(0, 1), (2, 3)])
     assert bfs_layers(two, 0) == [{0}, {1}]
+    for v in (-1, 5):
+        with pytest.raises(IndexOutOfRange, match=f"vertex {v} outside \\[0,5\\)"):
+            bfs_layers(cycle_graph(5), v)
 
 
 def brute_chromatic(g):
@@ -292,6 +296,8 @@ def test_chromatic_examples():
     assert chromatic_number_exact(complete_graph(4)) == 4
     assert chromatic_number_exact(petersen()) == 3
     assert chromatic_number_exact(empty_graph(6)) == 1
+    assert chromatic_number_exact(empty_graph(1)) == 1
+    assert chromatic_number_exact(empty_graph(0)) == 0
 
 
 def test_chromatic_random_vs_brute():

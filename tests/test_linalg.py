@@ -51,6 +51,22 @@ def test_asymmetric_rejected():
         sym_from_dense(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+def test_asymmetry_is_measured_against_one_tolerance():
+    for d, ok in ((0.5 * linalg.SYMMETRY_TOL * 1000.0, True), (2.0 * linalg.SYMMETRY_TOL * 1000.0, False)):
+        a = np.array([[1000.0, 1.0], [1.0 + d, 0.0]])
+        if ok:
+            assert sym_from_dense(a).dense()[0, 1] == (a[0, 1] + a[1, 0]) / 2.0
+        else:
+            with pytest.raises(ValueError, match="not symmetric"):
+                sym_from_dense(a)
+
+
+def test_non_square_rejected():
+    for a in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            sym_from_dense(a)
+
+
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
         sym_from_dense(np.array([[np.inf, 0.0], [0.0, 0.0]]))
@@ -142,8 +158,9 @@ def test_values_only_spectrum():
     spec = eigvals_sym(sym_from_dense(a))
     assert spec.eigenvectors is None and spec.residual is None
     assert np.array_equal(spec.eigenvalues, eigen_sym(sym_from_dense(a)).eigenvalues)
-    with pytest.raises(ValueError):
-        eigvals_sym(sym_from_dense(np.zeros((0, 0))))
+    for spectrum in (eigen_sym, eigvals_sym):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            spectrum(sym_from_dense(np.zeros((0, 0))))
 
 
 def test_ql_cap_zero_raises_on_a_coupled_pair():

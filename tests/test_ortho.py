@@ -102,6 +102,12 @@ def test_validate_dimension_mismatch():
         OrthoRep(2, np.eye(3), empty_graph(3))
 
 
+def test_rep_refuses_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(RepInvalid, match="non-finite vector entries"):
+            OrthoRep(1, np.array([[bad, 1.0]]), complete_graph(2))
+
+
 def test_gram_blocks():
     g = clique_union(4, 2)
     rep = basis_rep_from_clique_cover(g, clique_union_parts(4, 2))
@@ -217,7 +223,7 @@ def test_schnirelmann_random_psd():
     for _ in range(40):
         n = int(rng.integers(2, 13))
         r = rng.standard_normal((n, n))
-        rep = schnirelmann_check(sym_from_dense(r.T @ r, tol=1e-6))
+        rep = schnirelmann_check(sym_from_dense(r.T @ r))
         assert rep.ok
         assert rep.slack >= -1e-6 * max(1.0, rep.lhs, rep.rhs)
 
@@ -303,6 +309,8 @@ def test_trace_power_preconditions():
         trace_power_certificate(rep, tri, 1, "even")
     with pytest.raises(PreconditionViolated):
         trace_power_certificate(rep, tri, 1, "sideways")
+    with pytest.raises(PreconditionViolated, match="odd parity needs t >= 1"):
+        trace_power_certificate(rep, tri, 0, "odd")
 
 
 def test_cycle_free_bound_is_exact_up_to_the_float64_limit():
@@ -349,6 +357,8 @@ def test_aligned_sum_flips_signs():
     same = OrthoRep(1, np.array([[1.0, -1.0, 1.0, -1.0]]), complete_graph(n))
     assert abs(rep_sum_length(same) - 0.0) <= 1e-12
     assert abs(rep_sum_length_aligned(same, np.array([1.0])) - 4.0) <= 1e-12
+    with pytest.raises(DimensionMismatch, match="handle must have length 4"):
+        rep_sum_length_aligned(rep, np.ones(3))
 
 
 def test_rep_json_roundtrip():

@@ -114,7 +114,7 @@ def trace_power_twice(m, k):
 
 def gram_sum(rep):
     v = rep.vectors
-    return sym_from_dense((v.T @ v + v.T @ v) / 2.0, tol=1e-8)
+    return sym_from_dense((v.T @ v + v.T @ v) / 2.0)
 
 
 def cycle_free_graph_rebuild(n, k, rng):

@@ -138,6 +138,19 @@ def test_theta_result_rejects_bad_certificates():
         ThetaResult(r.lower, r.upper, r.gap, r.primal_x, r.dual_b, r.iterations, complete_graph(4))
     with pytest.raises(PreconditionViolated):
         ThetaResult(r.lower + 0.5, r.upper, r.upper - r.lower - 0.5, r.primal_x, r.dual_b, r.iterations, g)
+    doubled = sym_from_dense(2.0 * r.primal_x.dense())
+    with pytest.raises(PreconditionViolated, match="primal certificate trace differs from 1"):
+        ThetaResult(2.0 * r.lower, r.upper, r.upper - 2.0 * r.lower, doubled, r.dual_b, r.iterations, g)
+    # unit trace and zero on the edges of C4, but the non-edge pair (0, 2) makes it indefinite
+    indefinite = np.eye(4) / 4.0
+    indefinite[0, 2] = indefinite[2, 0] = 0.5
+    with pytest.raises(PreconditionViolated, match="primal certificate eigenvalue -0.2"):
+        ThetaResult(2.0, r.upper, r.upper - 2.0, sym_from_dense(indefinite), r.dual_b, r.iterations, g)
+    with pytest.raises(PreconditionViolated, match="upper bound does not match dual certificate"):
+        ThetaResult(r.lower, r.upper + 0.5, r.gap + 0.5, r.primal_x, r.dual_b, r.iterations, g)
+    for gap in (r.gap + 0.1, -1e-6):
+        with pytest.raises(PreconditionViolated, match="gap field inconsistent with bounds"):
+            ThetaResult(r.lower, r.upper, gap, r.primal_x, r.dual_b, r.iterations, g)
 
 
 def test_gap_not_reached_carries_partial_result():
