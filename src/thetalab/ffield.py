@@ -205,22 +205,20 @@ class FieldSpec:
         return out
 
 
-def _refuse_order_above_cap(p: int, alpha: int) -> None:
-    if p**alpha > ORDER_CAP:
-        raise Overflow(f"field order {p}^{alpha} exceeds {ORDER_CAP}")
-
-
 @functools.lru_cache(maxsize=128)
 def field_create(p: int, alpha: int = 1) -> FieldSpec:
     """Build GF(p^alpha); modulus chosen as the lexicographically smallest
     monic irreducible of degree alpha (coefficients compared low degree first).
     Kept for the 128 most recently used fields.
     """
+    # refused before is_prime's trial division; for p >= 2 any exponent past
+    # the cap's bit length is above the cap, so p^alpha is never built in full
+    if p > 1 and p ** min(alpha, ORDER_CAP.bit_length()) > ORDER_CAP:
+        raise Overflow(f"field order {p}^{alpha} exceeds {ORDER_CAP}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    _refuse_order_above_cap(p, alpha)
     if alpha == 1:
         return FieldSpec(p, 1, ())
     for m in _monic_polys(alpha, p):
@@ -231,10 +229,11 @@ def field_create(p: int, alpha: int = 1) -> FieldSpec:
 
 def order_split(q: int) -> tuple[int, int]:
     """(p, alpha) of a field order q, with field_from_order's checks
-    (NotPrime, then Overflow) but without the modulus search."""
-    p, alpha = prime_power_split(q)
-    _refuse_order_above_cap(p, alpha)
-    return p, alpha
+    (Overflow, then NotPrime) but without the modulus search.  The cap is
+    checked first: factoring q takes up to sqrt(q)/2 trial divisions."""
+    if q > ORDER_CAP:
+        raise Overflow(f"field order {q} exceeds {ORDER_CAP}")
+    return prime_power_split(q)
 
 
 def field_from_order(q: int) -> FieldSpec:

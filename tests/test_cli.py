@@ -1,5 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import ast
+import gc
 import importlib
 import importlib.util
 import inspect
@@ -193,44 +195,80 @@ def test_verify_parallel_flag_is_a_usage_error():
     (["construct", "cliques", "--n", "0", "--t", "1"], "--n >= 1"),
     (["construct", "cliques", "--n", "4", "--t", "-2"], "--t >= 1"),
     (["verify", "paper", "--experiment", "schnirelmann", "--seed", "-1"], "--seed >= 0"),
-])
+], ids=["argv0---n >= 1", "argv1---t >= 1", "argv2---seed >= 0"])  # fixed ids: rewording a message renames no case
 def test_bad_parameters_exit_two(capsys, argv, needle):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and needle in err
 
 
+# fixed ids, the names these cases were first collected under: rewording a message renames no case
 @pytest.mark.parametrize("args, needle", [
-    (["construct", "furedi", "--q", "4999", "--t", "2"], "n = 12495000 vertices, above the vertex cap 20000"),
-    (["construct", "polarity", "--q", "149"], "n = 22351 vertices, above the vertex cap 20000"),
-    (["theta", "--graph", "{c5}", "--tol", "nan"], "tol must be finite"),
-    (["theta", "--graph", "{c5}", "--tol", "inf"], "tol must be finite"),
-    (["theta", "--graph", "{c5}", "--iteration-cap", "-5"], "iteration_cap must be >= 1"),
-    (["theta", "--graph", "{c5}", "--iteration-cap", "0"], "iteration_cap must be >= 1"),
-    (["rep", "certify", "--file", "{rep}", "--check", "msr-chain", "--t", "0"], "t >= 1"),
-    (["rep", "certify", "--file", "{rep}", "--check", "msr-chain", "--t", "-2"], "t >= 1"),
-    (["rep", "validate", "--file", "{str_entry}"], "is not a representation file: vector entry must be a number, got '1'"),
-    (["rep", "validate", "--file", "{bool_entry}"], "is not a representation file: vector entry must be a number, got True"),
-    (["rep", "validate", "--file", "{huge_entry}"], "is not a representation file: vector entry is too large for a float"),
-    (["rep", "gram", "--file", "{overflow_entry}"], "Gram matrix overflows float64"),
-    (["spectrum", "--graph", "{huge_n}"], "is not a graph file: n = 100000000000000000000000 vertices, above the vertex cap 20000"),
-    (["spectrum", "--graph", "{billion_n}"], "is not a graph file: n = 1000000000 vertices, above the vertex cap 20000"),
+    pytest.param(["construct", "furedi", "--q", "4999", "--t", "2"],
+                 "n = 12495000 vertices, above the vertex cap 20000",
+                 id="args0-n = 12495000 vertices, above the vertex cap 20000"),
+    pytest.param(["construct", "polarity", "--q", "149"], "n = 22351 vertices, above the vertex cap 20000",
+                 id="args1-n = 22351 vertices, above the vertex cap 20000"),
+    pytest.param(["theta", "--graph", "{c5}", "--tol", "nan"], "tol must be finite",
+                 id="args2-tol must be finite"),
+    pytest.param(["theta", "--graph", "{c5}", "--tol", "inf"], "tol must be finite",
+                 id="args3-tol must be finite"),
+    pytest.param(["theta", "--graph", "{c5}", "--iteration-cap", "-5"], "iteration_cap must be >= 1",
+                 id="args4-iteration_cap must be >= 1"),
+    pytest.param(["theta", "--graph", "{c5}", "--iteration-cap", "0"], "iteration_cap must be >= 1",
+                 id="args5-iteration_cap must be >= 1"),
+    pytest.param(["rep", "certify", "--file", "{rep}", "--check", "msr-chain", "--t", "0"], "t >= 1",
+                 id="args6-t >= 1"),
+    pytest.param(["rep", "certify", "--file", "{rep}", "--check", "msr-chain", "--t", "-2"], "t >= 1",
+                 id="args7-t >= 1"),
+    pytest.param(["rep", "validate", "--file", "{str_entry}"],
+                 "is not a representation file: vector entry must be a number, got '1'",
+                 id="args8-is not a representation file: vector entry must be a number, got '1'"),
+    pytest.param(["rep", "validate", "--file", "{bool_entry}"],
+                 "is not a representation file: vector entry must be a number, got True",
+                 id="args9-is not a representation file: vector entry must be a number, got True"),
+    pytest.param(["rep", "validate", "--file", "{huge_entry}"],
+                 "is not a representation file: vector entry is too large for a float",
+                 id="args10-is not a representation file: vector entry is too large for a float"),
+    pytest.param(["rep", "gram", "--file", "{overflow_entry}"], "Gram matrix overflows float64",
+                 id="args11-Gram matrix overflows float64"),
+    pytest.param(["spectrum", "--graph", "{huge_n}"],
+                 "is not a graph file: n = 100000000000000000000000 vertices, above the vertex cap 20000",
+                 id="args12-is not a graph file: n = 100000000000000000000000 vertices, above the vertex cap 20000"),
+    pytest.param(["spectrum", "--graph", "{billion_n}"],
+                 "is not a graph file: n = 1000000000 vertices, above the vertex cap 20000",
+                 id="args13-is not a graph file: n = 1000000000 vertices, above the vertex cap 20000"),
     # refused before the irreducible-modulus search of GF(2^30) and GF(3^19)
-    (["construct", "polarity", "--q", "1073741824"], "n = 1152921505680588801 vertices, above the vertex cap"),
-    (["construct", "polarity", "--q", "1162261467"], "n = 1350851718835253557 vertices, above the vertex cap"),
-    (["construct", "furedi", "--q", "1162261467", "--t", "2"], "n = 675425858836496044 vertices, above the vertex cap"),
+    pytest.param(["construct", "polarity", "--q", "1073741824"],
+                 "n = 1152921505680588801 vertices, above the vertex cap",
+                 id="args14-n = 1152921505680588801 vertices, above the vertex cap"),
+    pytest.param(["construct", "polarity", "--q", "1162261467"],
+                 "n = 1350851718835253557 vertices, above the vertex cap",
+                 id="args15-n = 1350851718835253557 vertices, above the vertex cap"),
+    pytest.param(["construct", "furedi", "--q", "1162261467", "--t", "2"],
+                 "n = 675425858836496044 vertices, above the vertex cap",
+                 id="args16-n = 675425858836496044 vertices, above the vertex cap"),
     # refused before any row is built
-    (["construct", "cliques", "--n", "99999999999", "--t", "1"], "n = 99999999999 vertices, above the vertex cap 20000"),
+    pytest.param(["construct", "cliques", "--n", "99999999999", "--t", "1"],
+                 "n = 99999999999 vertices, above the vertex cap 20000",
+                 id="args17-n = 99999999999 vertices, above the vertex cap 20000"),
     # a 0-vertex graph has no spectrum; this ended in a ValueError traceback
-    (["spectrum", "--graph", "{zero_n}"], "graph must have at least one vertex"),
+    pytest.param(["spectrum", "--graph", "{zero_n}"], "graph must have at least one vertex",
+                 id="args18-graph must have at least one vertex"),
     # refused before the bound's power is computed; these ended in an OverflowError traceback and a hang
-    (["rep", "certify", "--file", "{rep}", "--check", "trace-power", "--t", "200", "--parity", "odd"],
-     "odd-parity bound 1200^400*9 for t = 200 exceeds the float64 limit 1.7976931348623157e+308"),
-    (["rep", "certify", "--file", "{rep}", "--check", "trace-power", "--t", "100000000000", "--parity", "even"],
-     "exceeds the float64 limit"),
+    pytest.param(["rep", "certify", "--file", "{rep}", "--check", "trace-power", "--t", "200", "--parity", "odd"],
+                 "odd-parity bound 1200^400*9 for t = 200 exceeds the float64 limit 1.7976931348623157e+308",
+                 id="args19-odd-parity bound 1200^400*9 for t = 200 exceeds the float64 limit 1.7976931348623157e+308"),
+    pytest.param(["rep", "certify", "--file", "{rep}", "--check", "trace-power", "--t", "100000000000", "--parity", "even"],
+                 "exceeds the float64 limit",
+                 id="args20-exceeds the float64 limit"),
     # the bound fits, but tr(M^81) is above Spectrum.power_sum's limit; this ended in a ValueError traceback
-    (["rep", "certify", "--file", "{rep}", "--check", "trace-power", "--t", "40", "--parity", "odd"],
-     "trace power 81 for t = 40 is above the power-sum limit 64"),
+    pytest.param(["rep", "certify", "--file", "{rep}", "--check", "trace-power", "--t", "40", "--parity", "odd"],
+                 "trace power 81 for t = 40 is above the power-sum limit 64",
+                 id="args21-trace power 81 for t = 40 is above the power-sum limit 64"),
+    # refused before q is factored, which took up to sqrt(q)/2 trial divisions
+    pytest.param(["construct", "polarity", "--q", "2305843009213693951"],
+                 "field order 2305843009213693951 exceeds 2147483648", id="polarity-order-above-the-cap"),
 ])
 def test_refused_inputs_exit_two(tmp_path, capsys, args, needle):
     files = {"c5": write_graph(tmp_path / "c5.json", cycle_graph(5)), "rep": str(tmp_path / "rep.json")}
@@ -336,11 +374,16 @@ def child_env(**env_extra):
     return env
 
 
+def blank_runtime(out: bytes) -> bytes:
+    """out with the wall-clock runtime_ms of experiment reports set to 0."""
+    return re.sub(rb'"runtime_ms": [0-9]+', b'"runtime_ms": 0', out)
+
+
 def run_child(cwd, argv, **env_extra):
     """Exit code and stdout bytes of a fresh thetalab process; runtime_ms is blanked."""
     proc = subprocess.run([sys.executable, "-m", "thetalab.cli", *argv], cwd=cwd, env=child_env(**env_extra),
                           capture_output=True, timeout=120)
-    return proc.returncode, re.sub(rb'"runtime_ms": [0-9]+', b'"runtime_ms": 0', proc.stdout)
+    return proc.returncode, blank_runtime(proc.stdout)
 
 
 @pytest.mark.parametrize("argv", [["theta", "--graph", "c5.json"],
@@ -464,6 +507,53 @@ def test_module_run_writes_nothing_to_stderr(tmp_path):
                           cwd=tmp_path, env=child_env(), capture_output=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert json.loads(proc.stdout)["provenance"]["parts"] == [2, 2]
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    before = gc.isenabled(), gc.get_freeze_count()
+    for argv, expected in ((["construct", "cliques", "--n", "4", "--t", "2"], 0),
+                           (["construct", "cliques", "--n", "0", "--t", "1"], 2)):
+        assert run(capsys, argv)[0] == expected
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("argv", ["construct polarity --q 7", "theta --graph c5.json --json",
+                                  "verify paper --experiment polarity-c4 --json", "check free --pattern C5 --graph c5.json"],
+                         ids=["construct", "theta", "verify", "check-free-exit-1"])
+def test_process_exit_keeps_main_output(tmp_path, capsys, monkeypatch, argv):
+    """A process that freezes its heap before exiting prints what main() prints in process, and
+    nothing on stderr under -X dev (which reports unclosed files and other shutdown warnings)."""
+    write_graph(tmp_path / "c5.json", cycle_graph(5))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-m", "thetalab.cli", *argv.split()], cwd=tmp_path,
+                          env=child_env(), capture_output=True, timeout=120)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, argv.split())
+    assert (proc.returncode, blank_runtime(proc.stdout), proc.stderr) == (code, blank_runtime(out.encode()), b"")
+
+
+_EXIT_PROBE = """
+import atexit, gc, sys
+import thetalab.cli
+atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))
+thetalab.cli.run()
+"""
+
+
+def test_run_freezes_the_heap_before_exiting(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE, "construct", "cliques", "--n", "4", "--t", "2"],
+                          cwd=tmp_path, env=child_env(), capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"True\n")
+    assert json.loads(proc.stdout)["provenance"]["parts"] == [2, 2]
+
+
+def test_installed_script_and_module_run_share_the_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text())
+    (block,) = [node for node in tree.body if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (call,) = [ast.unparse(stmt) for stmt in block.body]
+    assert call == "run()"
+    assert pyproject["project"]["scripts"]["thetalab"] == "thetalab.cli:run"
 
 
 def test_theta_flags_default_to_the_solver_constants(tmp_path):

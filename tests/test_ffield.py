@@ -34,6 +34,11 @@ def test_not_prime_rejected():
 def test_order_cap():
     with pytest.raises(Overflow):
         field_create(2, 40)
+    # refused before the trial division of p, and before 2^(10^12) is built
+    with pytest.raises(Overflow, match=r"^field order 2305843009213693951\^1 exceeds 2147483648$"):
+        field_create(2**61 - 1)
+    with pytest.raises(Overflow):
+        field_create(2, 10**12)
 
 
 def test_order_split_checks_without_building_the_field():
@@ -43,6 +48,11 @@ def test_order_split_checks_without_building_the_field():
         order_split(12)
     with pytest.raises(Overflow):
         order_split(2**40)
+    # refused before factoring, which took up to sqrt(q)/2 trial divisions; a
+    # non-prime-power above the cap is an Overflow too
+    for q in (2**61 - 1, 6 * 2**40):
+        with pytest.raises(Overflow, match=f"^field order {q} exceeds 2147483648$"):
+            order_split(q)
 
 
 def test_prime_power_split():
