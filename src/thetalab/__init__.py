@@ -24,18 +24,19 @@ _EXPORTS = {
         "prime_power_split", "subgroup",
     ),
     "graph": (
-        "Graph", "LayerColoringReport", "bfs_layers", "chromatic_number_exact", "complement", "complete_graph",
-        "contains_clique", "contains_complete_bipartite", "contains_cycle", "contains_pattern", "cycle_graph",
-        "empty_graph", "from_edges", "graph_from_json", "graph_from_text", "graph_to_json", "graph_to_text",
-        "induced_subgraph", "layer_chromatic_check", "max_clique_size", "parse_pattern",
+        "Graph", "LayerColoringReport", "bfs_layers", "chromatic_number_exact", "clique_union", "clique_union_parts",
+        "complement", "complete_graph", "contains_clique", "contains_complete_bipartite", "contains_cycle",
+        "contains_pattern", "cycle_graph", "empty_graph", "from_edges", "graph_from_json", "graph_from_text",
+        "graph_to_json", "graph_to_text", "induced_subgraph", "layer_chromatic_check", "max_clique_size",
+        "parse_pattern",
     ),
     "linalg": (
         "Spectrum", "SymMatrix", "adjacency_dense", "adjacency_sym", "eigen_sym", "eigvals_sym", "numeric_rank",
         "psd_project", "sym_from_dense", "trace_power",
     ),
     "constructions": (
-        "FurediGraph", "SquareIdentityReport", "clique_union", "clique_union_parts", "furedi_graph",
-        "furedi_square_identity", "polarity_graph", "polarity_graph_with_loops",
+        "FurediGraph", "SquareIdentityReport", "furedi_graph", "furedi_square_identity", "polarity_graph",
+        "polarity_graph_with_loops",
     ),
     "ortho": (
         "MsrChainReport", "OrthoRep", "RepValidation", "SchnirelmannReport", "TracePowerReport",

@@ -76,9 +76,9 @@ def cmd_construct(args) -> int:
     else:
         if args.n < 1 or args.t < 1:
             raise PreconditionViolated(f"need --n >= 1 and --t >= 1, got --n {args.n} --t {args.t}")
-        g = constructions.clique_union(args.n, args.t)
+        g = graph.clique_union(args.n, args.t)
         prov = {"family": "cliques", "n": args.n, "t": args.t,
-                "parts": [len(p) for p in constructions.clique_union_parts(args.n, args.t)]}
+                "parts": [len(p) for p in graph.clique_union_parts(args.n, args.t)]}
     obj = graph.graph_to_json(g)
     obj["provenance"] = prov
     _emit(obj, args.out)

@@ -1,18 +1,23 @@
-"""Explicit graph families built over finite fields, plus clique unions.
+"""Explicit graph families built over finite fields.
 
-Three constructions live here: a biclique-free graph on scaling classes of
-nonzero field pairs, the projective-plane polarity graph, and disjoint
-unions of equal cliques.  The field constructions evaluate their
-loop-included relation on element indices through the field's tables
-(ffield.field_tables), one block of rows at a time, and emit the simple
-graph with loops stripped.  Both order their columns as a grid over field
-elements, so a block needs its rows' products only with every element and,
-for the scaling classes, with the coset minima, computed from discrete logs
-gathered once per graph.  Each entry then costs one add of two additive codes and one gather of a
-table that marks the code sums in the subgroup (scaling classes), or one
-comparison of x·x' + y·y' with -z·z' (polarity).  graph.from_row_blocks
-packs the blocks into the graph's packed rows as they come.  Both check
-the vertex count against the graph vertex cap before building the field.
+Two constructions live here: a biclique-free graph on scaling classes of
+nonzero field pairs, and the projective-plane polarity graph.  Both
+evaluate their loop-included relation on element indices through the
+field's tables (ffield.field_tables), one block of rows at a time, and emit
+the simple graph with loops stripped.  Both order their columns as a grid
+over field elements, so a block needs its rows' products only with every
+element and, for the scaling classes, with the coset minima, computed from
+discrete logs gathered once per graph.  Each entry then costs one add of
+two additive codes and one gather of a table that marks the code sums in
+the subgroup (scaling classes), or one comparison of x·x' + y·y' with
+-z·z' (polarity).  graph.from_row_blocks packs the blocks into the graph's
+packed rows as they come.  Both check the vertex count against the graph
+vertex cap before building the field.
+
+Disjoint unions of equal cliques need no field and no numpy, so they live
+in graph (graph.clique_union, graph.clique_union_parts).  This module still
+binds both names: code that wraps thetalab.constructions.clique_union from
+outside, such as bench/tracer.py, finds it here.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import numpy as np
 from .errors import OrderUnavailable
 from .ffield import FieldElement, field_from_order, field_tables, order_split, require_order
 from .graph import Graph, adjacency_rows, from_row_blocks, refuse_above_vertex_cap
+from .graph import clique_union, clique_union_parts  # bound here too: see the module docstring
 
 # entries per block of rows of a construction's adjacency mask: 64-128 KB
 # per temporary
@@ -224,25 +230,3 @@ def polarity_graph(q: int) -> Graph:
     """Simple polarity graph on q^2 + q + 1 projective points."""
     return polarity_graph_with_loops(q)[0]
 
-
-def clique_union(n: int, t: int) -> Graph:
-    """Disjoint union of ceil(n/t) cliques: all of size t except a short last one.
-
-    n above GRAPH_N_CAP is refused with ComplexityRefused before any row is
-    built.  The row of v in the part start..stop-1 is the bits start..stop-1
-    without v's own.
-    """
-    if n < 1 or t < 1:
-        raise ValueError("need n >= 1 and t >= 1")
-    refuse_above_vertex_cap(n)
-    rows = []
-    for start in range(0, n, t):
-        stop = min(start + t, n)
-        part = (1 << stop) - (1 << start)
-        rows.extend(part - (1 << v) for v in range(start, stop))
-    return Graph(n, tuple(rows))
-
-
-def clique_union_parts(n: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """The clique partition matching clique_union(n, t)."""
-    return tuple(tuple(range(start, min(start + t, n))) for start in range(0, n, t))

@@ -15,35 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constructions import clique_union, clique_union_parts, furedi_graph, furedi_square_identity, polarity_graph
+# Runners reach each layer through its lazily registered module, so an
+# experiment loads only the layers it calls.
+from . import constructions, graph, linalg, ortho, theta
 from .errors import PreconditionViolated
-from .graph import (
-    Graph,
-    chromatic_number_exact,
-    complement,
-    complete_graph,
-    contains_complete_bipartite,
-    contains_cycle,
-    cycle_graph,
-    empty_graph,
-    from_edges,
-    layer_chromatic_check,
-)
-from .linalg import adjacency_dense, adjacency_sym, eigvals_sym, sym_from_dense
-from .ortho import (
-    basis_rep_from_clique_cover,
-    gram,
-    msr_lower_chain_check,
-    msr_upper_certificate,
-    random_rep,
-    rep_sum_length,
-    rep_sum_length_aligned,
-    schnirelmann_check,
-    trace_power_certificate,
-    umbrella_rep,
-    validate_rep,
-)
-from .theta import L_bounds, bound_formula_check, theta_sdp, theta_spectral_lower_of_complement
 
 SQRT5 = math.sqrt(5.0)
 
@@ -105,25 +80,34 @@ def _chk(name: str, claim: str, expected, observed, tolerance: float, passed: bo
     return ExperimentCheck(name, claim, _fmt(expected), _fmt(observed), float(tolerance), bool(passed))
 
 
-def _random_graph(n: int, p: float, rng) -> Graph:
-    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+def _random_graph(n: int, p: float, rng) -> graph.Graph:
+    return graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
-def _cycle_free_graph(n: int, k: int, rng) -> Graph:
-    """Greedy random graph with no cycle of length exactly k."""
+def _cycle_free_graph(n: int, k: int, rng) -> graph.Graph:
+    """Greedy random graph with no cycle of length exactly k.
+
+    The pairs are tried in a shuffled order and each is kept unless it closes
+    a k-cycle.  The graph before it has none, so for k = 3 the pair uv closes
+    one iff u and v have a common neighbour, and for k = 4 iff some neighbour
+    of u is adjacent to some neighbour of v (a path u-a-b-v).  Other k add the
+    pair and search the whole graph.
+    """
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     adj = [0] * n
     for u, v in pairs:
-        if k == 3 and adj[u] & adj[v]:  # a new triangle needs a common neighbor
+        if k == 3 and adj[u] & adj[v]:
+            continue
+        if k == 4 and any(adj[a] & adj[v] for a in range(n) if adj[u] >> a & 1):
             continue
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        if k != 3 and contains_cycle(Graph(n, tuple(adj)), k):
+        if k > 4 and graph.contains_cycle(graph.Graph(n, tuple(adj)), k):
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
-    g = Graph(n, tuple(adj))
-    if contains_cycle(g, k):  # the generator's promise, re-verified
+    g = graph.Graph(n, tuple(adj))
+    if graph.contains_cycle(g, k):  # the generator's promise, re-verified
         raise PreconditionViolated("cycle-free generator produced a cycle")
     return g
 
@@ -136,7 +120,7 @@ def _cycle_free_graph(n: int, k: int, rng) -> Graph:
 def _run_furedi_spectral(seed: int):
     checks = []
     for q, t in ((5, 2), (13, 4)):
-        fg = furedi_graph(q, t)
+        fg = constructions.furedi_graph(q, t)
         g = fg.graph
         tag = f"furedi({q},{t})"
         checks.append(_chk(
@@ -147,7 +131,7 @@ def _run_furedi_spectral(seed: int):
             "furedi_graph", f"{tag}: loop-included matrix is q-regular",
             q, f"degrees in [{min(deg)},{max(deg)}]", 0.0,
             min(deg) == q and max(deg) == q))
-        rep = furedi_square_identity(fg)
+        rep = constructions.furedi_square_identity(fg)
         checks.append(_chk(
             "furedi_square_identity", f"{tag}: A^2 = (q-t)I + tJ - tQ over the integers",
             0, rep.max_abs_residual, 0.0, rep.holds and rep.max_abs_residual == 0))
@@ -155,7 +139,7 @@ def _run_furedi_spectral(seed: int):
         checks.append(_chk(
             "furedi_square_identity", f"{tag}: Q has (q-1-t)/t ones per row",
             rep.expected_row_sum, sorted(rows), 0.0, rows == {rep.expected_row_sum}))
-        lam = eigvals_sym(adjacency_sym(g)).eigenvalues
+        lam = linalg.eigvals_sym(linalg.adjacency_sym(g)).eigenvalues
         nontrivial = max(abs(lam[1]), abs(lam[-1]))
         bound = math.sqrt(2 * q - 2 * t - 1) + 1.0
         checks.append(_chk(
@@ -164,17 +148,17 @@ def _run_furedi_spectral(seed: int):
         if (q, t) == (5, 2):
             checks.append(_chk(
                 "contains_complete_bipartite", f"{tag}: no K_(2,3) subgraph",
-                False, contains_complete_bipartite(g, 2, 3), 0.0,
-                not contains_complete_bipartite(g, 2, 3)))
-            low = theta_spectral_lower_of_complement(g)
+                False, graph.contains_complete_bipartite(g, 2, 3), 0.0,
+                not graph.contains_complete_bipartite(g, 2, 3)))
+            low = theta.theta_spectral_lower_of_complement(g)
             checks.append(_chk(
                 "theta_spectral_lower_of_complement",
                 f"{tag}: 1 - lambda_1/lambda_n >= 2.236 on the loop-removed matrix",
                 ">= 2.236", low, 1e-9, low >= 2.236 - 1e-9))
-            a = adjacency_dense(g)
+            a = linalg.adjacency_dense(g)
             loops = list(fg.loops_removed)
             a[loops, loops] = 1.0
-            vals = eigvals_sym(sym_from_dense(a)).eigenvalues
+            vals = linalg.eigvals_sym(linalg.sym_from_dense(a)).eigenvalues
             loopful = 1.0 - vals[0] / vals[-1]
             checks.append(_chk(
                 "theta_spectral_lower_of_complement",
@@ -186,21 +170,21 @@ def _run_furedi_spectral(seed: int):
 def _run_polarity_c4(seed: int):
     checks = []
     for q in (2, 3, 4):
-        g = polarity_graph(q)
+        g = constructions.polarity_graph(q)
         tag = f"polarity({q})"
         checks.append(_chk(
             "polarity_graph", f"{tag}: n = q^2 + q + 1",
             q * q + q + 1, g.n, 0.0, g.n == q * q + q + 1))
         checks.append(_chk(
             "contains_cycle", f"{tag}: no 4-cycle",
-            False, contains_cycle(g, 4), 0.0, not contains_cycle(g, 4)))
+            False, graph.contains_cycle(g, 4), 0.0, not graph.contains_cycle(g, 4)))
         degs = g.degrees()
         low_count = sum(1 for d in degs if d == q)
         ok = set(degs) <= {q, q + 1} and low_count == q + 1
         checks.append(_chk(
             "degrees", f"{tag}: degrees in (q, q+1) with exactly q+1 vertices of degree q",
             q + 1, low_count, 0.0, ok))
-        lam = eigvals_sym(adjacency_sym(g)).eigenvalues
+        lam = linalg.eigvals_sym(linalg.adjacency_sym(g)).eigenvalues
         nontrivial = max(abs(lam[1]), abs(lam[-1]))
         checks.append(_chk(
             "eigen_sym", f"{tag}: nontrivial |lambda| <= sqrt(q) + 1",
@@ -215,10 +199,10 @@ def _run_theta_sandwich(seed: int):
     dev_empty = 0.0
     worst_gap = 0.0
     for n in range(1, 11):
-        r = theta_sdp(complete_graph(n), tol=1e-6)
+        r = theta.theta_sdp(graph.complete_graph(n), tol=1e-6)
         dev_complete = max(dev_complete, abs(r.lower - 1.0), abs(r.upper - 1.0))
         worst_gap = max(worst_gap, r.gap)
-        r = theta_sdp(empty_graph(n), tol=1e-6)
+        r = theta.theta_sdp(graph.empty_graph(n), tol=1e-6)
         dev_empty = max(dev_empty, abs(r.lower - n), abs(r.upper - n))
         worst_gap = max(worst_gap, r.gap)
     checks.append(_chk(
@@ -227,8 +211,8 @@ def _run_theta_sandwich(seed: int):
     checks.append(_chk(
         "theta_sdp", "theta(empty_n) = n for n <= 10",
         "deviation <= 1e-08", dev_empty, 1e-8, dev_empty <= 1e-8))
-    c5 = theta_sdp(cycle_graph(5), tol=1e-6)
-    c5c = theta_sdp(complement(cycle_graph(5)), tol=1e-6)
+    c5 = theta.theta_sdp(graph.cycle_graph(5), tol=1e-6)
+    c5c = theta.theta_sdp(graph.complement(graph.cycle_graph(5)), tol=1e-6)
     worst_gap = max(worst_gap, c5.gap, c5c.gap)
     checks.append(_chk(
         "theta_sdp", "every bracket gap <= 1e-05",
@@ -252,8 +236,8 @@ def _run_schnirelmann(seed: int):
     for i in range(100):
         n = int(rng.integers(2, 21))
         g = _random_graph(n, float(rng.uniform(0.2, 0.8)), rng)
-        rep = random_rep(g, seed=seed * 1000 + i)
-        out = schnirelmann_check(gram(rep))
+        rep = ortho.random_rep(g, seed=seed * 1000 + i)
+        out = ortho.schnirelmann_check(ortho.gram(rep))
         rep_pass += out.ok
         worst = min(worst, out.slack)
     checks = [_chk(
@@ -264,7 +248,7 @@ def _run_schnirelmann(seed: int):
     for _ in range(100):
         k = int(rng.integers(1, 13))
         a = rng.standard_normal((k, k))
-        out = schnirelmann_check(sym_from_dense(a @ a.T))
+        out = ortho.schnirelmann_check(linalg.sym_from_dense(a @ a.T))
         psd_pass += out.ok
         worst = min(worst, out.slack)
     checks.append(_chk(
@@ -272,11 +256,11 @@ def _run_schnirelmann(seed: int):
         "100/100", f"{psd_pass}/100, min slack {worst:.9g}", 1e-6, psd_pass == 100))
     eq_worst = 0.0
     for m in (
-        sym_from_dense(np.eye(6)),
-        gram(basis_rep_from_clique_cover(clique_union(4, 2), clique_union_parts(4, 2))),
-        sym_from_dense(np.ones((5, 5))),
+        linalg.sym_from_dense(np.eye(6)),
+        ortho.gram(ortho.basis_rep_from_clique_cover(graph.clique_union(4, 2), graph.clique_union_parts(4, 2))),
+        linalg.sym_from_dense(np.ones((5, 5))),
     ):
-        eq_worst = max(eq_worst, abs(schnirelmann_check(m).slack))
+        eq_worst = max(eq_worst, abs(ortho.schnirelmann_check(m).slack))
     checks.append(_chk(
         "schnirelmann_check", "equality cases (identity, block-constant Grams) have |slack| <= 1e-06",
         "<= 1e-06", eq_worst, 1e-6, eq_worst <= 1e-6))
@@ -290,19 +274,19 @@ def _run_msr_cycle(seed: int):
     first_miss = None
     for n, t in grid:
         s = t - 1
-        g = clique_union(n, s)
-        if not contains_cycle(g, t):
+        g = graph.clique_union(n, s)
+        if not graph.contains_cycle(g, t):
             free_n += 1
-        rep, built = msr_upper_certificate(n, s, f"C{t}")
-        if validate_rep(rep, g).ok and rep.d == -(-n // s):
+        rep, built = ortho.msr_upper_certificate(n, s, f"C{t}")
+        if ortho.validate_rep(rep, g).ok and rep.d == -(-n // s):
             valid_n += 1
-        m = gram(rep).dense()
+        m = ortho.gram(rep).dense()
         square_sum = float(np.sum(m * m))  # exact: entries are exact 0.0 / 1.0
         if square_sum == float(n * s):
             eq_n += 1
         elif first_miss is None:
             first_miss = (n, t, int(round(square_sum)), n * s)
-        if msr_lower_chain_check(rep, g, s).chain_ok:
+        if ortho.msr_lower_chain_check(rep, g, s).chain_ok:
             chain_n += 1
     checks = [
         _chk("contains_cycle", "clique_union(n, t-1) has no C_t at any grid point",
@@ -337,7 +321,7 @@ def _run_trace_power(seed: int):
         for i in range(samples):
             n = int(rng.integers(4, 17))
             g = _cycle_free_graph(n, k, rng)
-            out = trace_power_certificate(random_rep(g, seed=seed * stride + i), g, t, parity)
+            out = ortho.trace_power_certificate(ortho.random_rep(g, seed=seed * stride + i), g, t, parity)
             trace_pass += out.trace_ok
             lam_pass += out.lam_ok
         for claim, passed in ((trace_claim, trace_pass), (lam_claim, lam_pass)):
@@ -352,26 +336,26 @@ def _run_claim1_sandwich(seed: int):
     for i in range(30):
         n = int(rng.integers(3, 11))
         g = _random_graph(n, float(rng.uniform(0.2, 0.8)), rng)
-        rep = random_rep(g, seed=seed * 4000 + i)
-        length = rep_sum_length(rep)
-        th = theta_sdp(complement(g), tol=1e-5)
+        rep = ortho.random_rep(g, seed=seed * 4000 + i)
+        length = ortho.rep_sum_length(rep)
+        th = theta.theta_sdp(graph.complement(g), tol=1e-5)
         if length <= math.sqrt(n * th.lower) + 1e-4:
             upper_pass += 1
     checks = [_chk(
         "rep_sum_length", "|sum f(v)| <= sqrt(n theta(complement)) + 1e-04 for 30 reps (n <= 10)",
         "30/30", f"{upper_pass}/30", 1e-4, upper_pass == 30)]
 
-    c5 = theta_sdp(cycle_graph(5), tol=1e-6)
-    c5c = theta_sdp(complement(cycle_graph(5)), tol=1e-6)
+    c5 = theta.theta_sdp(graph.cycle_graph(5), tol=1e-6)
+    c5c = theta.theta_sdp(graph.complement(graph.cycle_graph(5)), tol=1e-6)
     target = 5.0**0.75
-    lo, hi = L_bounds(cycle_graph(5), (c5.lower + c5.upper) / 2, (c5c.lower + c5c.upper) / 2)
+    lo, hi = theta.L_bounds(graph.cycle_graph(5), (c5.lower + c5.upper) / 2, (c5c.lower + c5c.upper) / 2)
     checks.append(_chk(
         "L_bounds", "for C5 the lower bound n/sqrt(theta) equals 5^(3/4)",
         target, lo, 1e-4, abs(lo - target) <= 1e-4))
     checks.append(_chk(
         "L_bounds", "for C5 the upper bound sqrt(n theta(complement)) equals 5^(3/4)",
         target, hi, 1e-4, abs(hi - target) <= 1e-4))
-    aligned = rep_sum_length_aligned(umbrella_rep(False), np.array([0.0, 0.0, 1.0]))
+    aligned = ortho.rep_sum_length_aligned(ortho.umbrella_rep(False), np.array([0.0, 0.0, 1.0]))
     checks.append(_chk(
         "rep_sum_length_aligned", "sign-aligned umbrella sum reaches 5/5^(1/4)",
         f">= {target - 1e-4:.9g}", aligned, 1e-4, aligned >= target - 1e-4))
@@ -380,7 +364,8 @@ def _run_claim1_sandwich(seed: int):
 
 # layer coloring: exhaustive labeled sweep over the 5-cycle-free graphs on
 # <= 7 vertices, grown one vertex at a time, as array passes over the edge
-# masks; each distinct layer subgraph is coloured once
+# masks; each layer's edge mask is looked up in a table of the 3-colourable
+# edge masks
 
 
 def _edge_positions(n: int):
@@ -430,8 +415,8 @@ def _grow_c5_free_masks(n_max: int):
         yield free
 
 
-def _mask_graph(n: int, mask: int) -> Graph:
-    return from_edges(n, [p for k, p in enumerate(_edge_positions(n)) if mask >> k & 1])
+def _mask_graph(n: int, mask: int) -> graph.Graph:
+    return graph.from_edges(n, [p for k, p in enumerate(_edge_positions(n)) if mask >> k & 1])
 
 
 def _layer_edge_masks(n: int, graphs: np.ndarray):
@@ -452,15 +437,38 @@ def _layer_edge_masks(n: int, graphs: np.ndarray):
         yield graphs & inside[a2]
 
 
+def _three_colorable_table(n: int) -> np.ndarray:
+    """Bit m of the result (bit m % 8 of byte m // 8) is set iff the graph with edge mask m
+    (bit k = k-th pair of _edge_positions(n)) is 3-colourable.
+
+    A colouring c is proper for exactly the edge masks inside the pairs it gives two
+    different colours, the complement of its monochromatic pairs.  Those complements,
+    over the 3^(n-1) colourings that give vertex 0 the first colour, are marked, and the
+    marks are closed under taking subsets one edge bit at a time: bits k < 3 within each
+    byte, higher bits across bytes.  Packed, n = 7 takes 2^21 bits = 256 KB.
+    """
+    edges = _edge_positions(n)
+    full = (1 << len(edges)) - 1
+    colours = np.array([(0, *c) for c in itertools.product(range(3), repeat=n - 1)], dtype=np.uint8)
+    proper = np.full(len(colours), full, dtype=np.uint32)
+    for k, (u, v) in enumerate(edges):
+        proper ^= (colours[:, u] == colours[:, v]).astype(np.uint32) << k
+    table = np.zeros(max(1, (full + 1) // 8), dtype=np.uint8)
+    np.bitwise_or.at(table, proper >> 3, (np.uint32(1) << (proper & 7)).astype(np.uint8))
+    for k, upper in enumerate((0xAA, 0xCC, 0xF0)[: len(edges)]):
+        table |= (table & upper) >> (1 << k)
+    for k in range(3, len(edges)):
+        halves = table.reshape(-1, 2, 1 << (k - 3))
+        halves[:, 0] |= halves[:, 1]
+    return table
+
+
 def _layers_3_colorable(n: int, graphs: np.ndarray) -> np.ndarray:
     """Per graph: whether every BFS layer A_i, i <= 2, of every root is 3-colourable."""
-    # two passes over the roots: all roots' masks at once would hold 2n words per graph
-    distinct = np.unique(np.concatenate([np.unique(m) for m in _layer_edge_masks(n, graphs)]))
-    bad = [m for m in distinct.tolist() if chromatic_number_exact(_mask_graph(n, m)) > 3]
-    bad = np.array(bad, dtype=graphs.dtype)
+    table = _three_colorable_table(n)
     ok = np.ones(len(graphs), dtype=bool)
     for m in _layer_edge_masks(n, graphs):
-        ok &= ~np.isin(m, bad)
+        ok &= ((table[m >> 3] >> (m & 7)) & 1).astype(bool)
     return ok
 
 
@@ -472,7 +480,7 @@ def _run_layer_coloring(seed: int):
         violations = int(np.count_nonzero(~ok))
         for idx in range(0, len(free), 20000):  # spot-check the sweep against the library op
             cross_total += 1
-            cross_agree += layer_chromatic_check(_mask_graph(n, int(free[idx])), 5).ok == bool(ok[idx])
+            cross_agree += graph.layer_chromatic_check(_mask_graph(n, int(free[idx])), 5).ok == bool(ok[idx])
         checks.append(_chk(
             "layer_chromatic_check",
             f"chi(layer) <= 3 for every BFS layer A_i, i <= 2, of every 5-cycle-free graph on {n} vertices",
@@ -488,8 +496,8 @@ def _run_layer_coloring(seed: int):
 def _run_even_cycle_bound(seed: int):
     checks = []
     for q in (2, 3):
-        g = polarity_graph(q)
-        out = bound_formula_check(g, "even", 2)
+        g = constructions.polarity_graph(q)
+        out = theta.bound_formula_check(g, "even", 2)
         checks.append(_chk(
             "bound_formula_check",
             f"theta(complement of polarity({q})) <= 24 n^(1/4), n = {g.n}",

@@ -210,6 +210,9 @@ def field_create(p: int, alpha: int = 1) -> FieldSpec:
     """Build GF(p^alpha); modulus chosen as the lexicographically smallest
     monic irreducible of degree alpha (coefficients compared low degree first).
     Kept for the 128 most recently used fields.
+
+    The search skips candidates with constant term 0: for alpha >= 2 each is
+    divisible by x, and _monic_polys yields all p^(alpha-1) of them first.
     """
     # refused before is_prime's trial division; for p >= 2 any exponent past
     # the cap's bit length is above the cap, so p^alpha is never built in full
@@ -222,7 +225,7 @@ def field_create(p: int, alpha: int = 1) -> FieldSpec:
     if alpha == 1:
         return FieldSpec(p, 1, ())
     for m in _monic_polys(alpha, p):
-        if _is_irreducible(m, p):
+        if m[0] and _is_irreducible(m, p):
             return FieldSpec(p, alpha, tuple(m))
     raise RuntimeError("unreachable: an irreducible polynomial of every degree exists")
 

@@ -5,6 +5,10 @@ verification suite is built on.
 All checkers are exact searches: they gate mathematical claims, so a
 heuristic false negative is unacceptable.  Work caps raise
 ComplexityRefused instead of silently degrading.
+
+The rows are Python ints, so numpy is imported only by the four functions
+that build or read arrays (Graph.packed, from_row_blocks, adjacency_rows
+and _codegree_reaches): a process that never calls them never loads it.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     ComplexityRefused,
@@ -24,6 +27,9 @@ from .errors import (
     PreconditionViolated,
     UnsupportedPattern,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BICLIQUE_SUBSET_CAP = 10**7
 CHROMATIC_N_CAP = 40
@@ -58,6 +64,8 @@ class Graph:
 
         A cached value, not a field: equality, hashing and repr ignore it.
         """
+        import numpy as np
+
         width = (self.n + 7) // 8
         rows = b"".join(r.to_bytes(width, "little") for r in self.adj)
         return np.frombuffer(rows, dtype=np.uint8).reshape(self.n, width)
@@ -91,6 +99,8 @@ def from_row_blocks(n: int, blocks, labels: tuple[str, ...] | None = None) -> Gr
     at a time, so the bytes objects in flight take O(TILE_ROWS * n) bits,
     not another n^2.  The graph starts with Graph.packed already set.
     """
+    import numpy as np
+
     packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
     s = 0
     for block in blocks:
@@ -108,6 +118,8 @@ def from_row_blocks(n: int, blocks, labels: tuple[str, ...] | None = None) -> Gr
 
 def adjacency_rows(g: Graph) -> np.ndarray:
     """The adjacency matrix as a 0/1 uint8 array."""
+    import numpy as np
+
     return np.unpackbits(g.packed, axis=1, count=g.n, bitorder="little")
 
 
@@ -150,6 +162,29 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, tuple(full & ~(1 << v) for v in range(n)))
 
 
+def clique_union(n: int, t: int) -> Graph:
+    """Disjoint union of ceil(n/t) cliques: all of size t except a short last one.
+
+    n above GRAPH_N_CAP is refused with ComplexityRefused before any row is
+    built.  The row of v in the part start..stop-1 is the bits start..stop-1
+    without v's own.
+    """
+    if n < 1 or t < 1:
+        raise ValueError("need n >= 1 and t >= 1")
+    refuse_above_vertex_cap(n)
+    rows = []
+    for start in range(0, n, t):
+        stop = min(start + t, n)
+        part = (1 << stop) - (1 << start)
+        rows.extend(part - (1 << v) for v in range(start, stop))
+    return Graph(n, tuple(rows))
+
+
+def clique_union_parts(n: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """The clique partition matching clique_union(n, t)."""
+    return tuple(tuple(range(start, min(start + t, n))) for start in range(0, n, t))
+
+
 def cycle_graph(n: int) -> Graph:
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -182,6 +217,8 @@ def _codegree_reaches(g: Graph, s: int) -> bool:
     extra memory is n^2/8 bytes plus O(TILE_ROWS * n).
     float32 is exact here: every partial sum is an integer <= n < 2^24.
     """
+    import numpy as np
+
     n = g.n
     packed = g.packed
 

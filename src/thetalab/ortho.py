@@ -21,7 +21,7 @@ from .errors import (
     RepInvalid,
     UnsupportedPattern,
 )
-from .graph import Graph, complement, contains_clique, contains_cycle, cycle_graph, graph_from_json, graph_to_json, json_int, json_number, parse_pattern
+from .graph import Graph, clique_union, clique_union_parts, complement, contains_clique, contains_cycle, cycle_graph, graph_from_json, graph_to_json, json_int, json_number, parse_pattern
 from .linalg import POWER_SUM_MAX, SymMatrix, adjacency_dense, eigvals_sym, sym_from_dense, trace_power
 
 # slack of rep validation (unit norms, orthogonality) and of the msr chain
@@ -234,8 +234,6 @@ def msr_upper_certificate(n: int, t: int, pattern: str) -> tuple[OrthoRep, Graph
     Builds clique_union(n, t), verifies the requested freeness, and returns
     the ceil(n/t)-dimensional basis representation with the graph.
     """
-    from .constructions import clique_union, clique_union_parts  # the only use; keeps ortho off ffield
-
     kind, arg = parse_pattern(pattern)
     g = clique_union(n, t)
     if kind == "cycle":

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# ortho is reached through its lazily registered module, so only the
+# representation and bound-formula functions load it
+from . import ortho
 from .errors import (
     ComplexityRefused,
     GapNotReached,
@@ -29,7 +32,6 @@ from .errors import (
 )
 from .graph import Graph, complement
 from .linalg import SymMatrix, adjacency_dense, adjacency_sym, eigh_dense, eigvals_sym, psd_project_dense, sym_from_dense
-from .ortho import OrthoRep, cycle_free_bound, require_cycle_free, require_valid_rep
 
 DEFAULT_TOL = 1e-6
 DEFAULT_ITERATION_CAP = 50_000
@@ -201,7 +203,7 @@ def theta_spectral_lower_of_complement(g: Graph) -> float:
     return 1.0 - lam_1 / lam_n
 
 
-def _check_handle(rep: OrthoRep, x) -> np.ndarray:
+def _check_handle(rep: ortho.OrthoRep, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (rep.d,):
         raise PreconditionViolated(f"handle must have length {rep.d}")
@@ -210,10 +212,10 @@ def _check_handle(rep: OrthoRep, x) -> np.ndarray:
     return x
 
 
-def theta_upper_from_rep(rep: OrthoRep, x) -> float:
+def theta_upper_from_rep(rep: ortho.OrthoRep, x) -> float:
     """max over vertices of <x, f(v)>^-2, an upper bound from a rep of g."""
     x = _check_handle(rep, x)
-    require_valid_rep(rep, rep.target)
+    ortho.require_valid_rep(rep, rep.target)
     products = x @ rep.vectors
     tiny = float(np.min(np.abs(products)))
     if tiny <= 1e-12:
@@ -221,10 +223,10 @@ def theta_upper_from_rep(rep: OrthoRep, x) -> float:
     return float(np.max(products**-2.0))
 
 
-def theta_lower_from_rep(rep: OrthoRep, x) -> float:
+def theta_lower_from_rep(rep: ortho.OrthoRep, x) -> float:
     """Sum of <x, f(v)>^2 over a rep of the complement: a lower bound for g."""
     x = _check_handle(rep, x)
-    require_valid_rep(rep, rep.target)
+    ortho.require_valid_rep(rep, rep.target)
     products = x @ rep.vectors
     return float(np.sum(products**2))
 
@@ -269,9 +271,9 @@ def bound_formula_check(g: Graph, parity: str, t: int) -> BoundFormulaReport:
     pass is then merely "no violation witnessed".
     """
     n = g.n
-    require_cycle_free(g, parity, t)
+    ortho.require_cycle_free(g, parity, t)
     if parity == "odd":
-        formula = cycle_free_bound(parity, t, n) ** (1.0 / (2 * t + 1))
+        formula = ortho.cycle_free_bound(parity, t, n) ** (1.0 / (2 * t + 1))
     else:
         formula = 12 * t * n ** (1.0 / (2 * t))
     if n <= SOLVER_N_CAP:

@@ -423,14 +423,14 @@ PACKAGE_EXPORTS = {
               "OrderUnavailable Overflow PreconditionViolated RepInvalid ThetalabError UnsupportedPattern",
     "ffield": "FieldElement FieldSpec element_of_order field_create field_from_order is_prime prime_power_split "
               "subgroup",
-    "graph": "Graph LayerColoringReport bfs_layers chromatic_number_exact complement complete_graph contains_clique "
-             "contains_complete_bipartite contains_cycle contains_pattern cycle_graph empty_graph from_edges "
-             "graph_from_json graph_from_text graph_to_json graph_to_text induced_subgraph layer_chromatic_check "
-             "max_clique_size parse_pattern",
+    "graph": "Graph LayerColoringReport bfs_layers chromatic_number_exact clique_union clique_union_parts complement "
+             "complete_graph contains_clique contains_complete_bipartite contains_cycle contains_pattern cycle_graph "
+             "empty_graph from_edges graph_from_json graph_from_text graph_to_json graph_to_text induced_subgraph "
+             "layer_chromatic_check max_clique_size parse_pattern",
     "linalg": "Spectrum SymMatrix adjacency_dense adjacency_sym eigen_sym eigvals_sym numeric_rank psd_project "
               "sym_from_dense trace_power",
-    "constructions": "FurediGraph SquareIdentityReport clique_union clique_union_parts furedi_graph "
-                     "furedi_square_identity polarity_graph polarity_graph_with_loops",
+    "constructions": "FurediGraph SquareIdentityReport furedi_graph furedi_square_identity polarity_graph "
+                     "polarity_graph_with_loops",
     "ortho": "MsrChainReport OrthoRep RepValidation SchnirelmannReport TracePowerReport basis_rep_from_clique_cover "
              "gram greedy_clique_cover msr_lower_chain_check msr_upper_certificate random_rep rep_from_json "
              "rep_sum_length rep_sum_length_aligned rep_to_json schnirelmann_check trace_power_certificate "
@@ -467,7 +467,7 @@ def test_bench_tracer_hooks_resolve():
     assert "__post_init__" in vars(ThetaResult)
 
 
-# run in a fresh process: which thetalab modules are registered, and which have run
+# run in a fresh process: which thetalab modules are registered, which have run, and whether numpy was imported
 _LAYER_PROBE = """
 import json, sys, types
 import thetalab.cli
@@ -480,26 +480,43 @@ registered = sorted(k.removeprefix("thetalab.") for k in sys.modules if k.starts
 thetalab.cli._parser()
 at_start = executed()
 code = thetalab.cli.main(sys.argv[1:])
-print(json.dumps([registered, at_start, executed(), code]), file=sys.stderr)
+print(json.dumps([registered, at_start, executed(), "numpy" in sys.modules, code]), file=sys.stderr)
 """
 
+# (argv, layers run, numpy imported, exit code)
+_EXPERIMENT_LAYERS = {
+    "furedi-spectral": ("constructions errors experiments ffield graph linalg theta", 0),
+    "polarity-c4": ("constructions errors experiments ffield graph linalg", 0),
+    "theta-sandwich": ("errors experiments graph linalg theta", 0),
+    "schnirelmann": ("errors experiments graph linalg ortho", 0),
+    "msr-cycle": ("errors experiments graph linalg ortho", 1),  # criterion 7's known failure
+    "trace-power": ("errors experiments graph linalg ortho", 0),
+    "claim1-sandwich": ("errors experiments graph linalg ortho theta", 0),
+    "layer-coloring": ("errors experiments graph", 0),
+    "even-cycle-bound": ("constructions errors experiments ffield graph linalg ortho theta", 0),
+}
+_LAYER_CASES = {
+    "check-free": ("check free --pattern C4 --graph c5.json", "errors graph", True, 0),
+    "check-free-c5": ("check free --pattern C5 --graph c5.json", "errors graph", False, 1),
+    "spectrum": ("spectrum --graph c5.json", "errors graph linalg", True, 0),
+    "construct": ("construct cliques --n 4 --t 2", "errors graph", False, 0),
+    "rep": ("rep validate --file rep.json", "errors graph linalg ortho", True, 0),
+    "theta": ("theta --graph c5.json", "errors graph linalg theta", True, 0),
+    **{f"verify-{name}": (f"verify paper --experiment {name}", layers, True, code)
+       for name, (layers, code) in _EXPERIMENT_LAYERS.items()},
+}
 
-@pytest.mark.parametrize("argv, layers", [
-    ("check free --pattern C4 --graph c5.json", "errors graph"),
-    ("spectrum --graph c5.json", "errors graph linalg"),
-    ("construct cliques --n 4 --t 2", "constructions errors ffield graph"),
-    ("rep validate --file rep.json", "errors graph linalg ortho"),
-    ("theta --graph c5.json", "errors graph linalg ortho theta"),
-], ids=["check-free", "spectrum", "construct", "rep", "theta"])
-def test_commands_run_only_their_layers(tmp_path, argv, layers):
+
+@pytest.mark.parametrize("argv, layers, numpy, code", _LAYER_CASES.values(), ids=_LAYER_CASES)
+def test_commands_run_only_their_layers(tmp_path, argv, layers, numpy, code):
     write_graph(tmp_path / "c5.json", cycle_graph(5))
     (tmp_path / "rep.json").write_text(json.dumps(rep_to_json(umbrella_rep())))
     proc = subprocess.run([sys.executable, "-c", _LAYER_PROBE, *argv.split()], cwd=tmp_path, env=child_env(),
                           capture_output=True, timeout=120)
-    registered, at_start, after, code = json.loads(proc.stderr.splitlines()[-1])
+    registered, at_start, after, numpy_imported, exit_code = json.loads(proc.stderr.splitlines()[-1])
     assert registered == sorted(["cli", *PACKAGE_EXPORTS])
     assert at_start == ["errors"]  # building the parser runs no layer
-    assert (after, code) == (layers.split(), 0)
+    assert (after, numpy_imported, exit_code) == (layers.split(), numpy, code)
 
 
 def test_module_run_writes_nothing_to_stderr(tmp_path):

@@ -1,5 +1,7 @@
 """Field arithmetic tests: frozen small-field values plus exhaustive axioms."""
 
+import time
+
 import pytest
 
 from thetalab.errors import DivisionByZero, NotPrime, OrderUnavailable, Overflow
@@ -115,6 +117,32 @@ def test_modulus_irreducible_brute_force():
             for a in _monic_polys(d1, spec.p):
                 for b in _monic_polys(d2, spec.p):
                     assert _poly_mul(a, b, spec.p) != m
+
+
+def test_modulus_search_skips_constant_term_zero_with_the_same_result():
+    # the search over every monic polynomial, constant term 0 included
+    from thetalab.ffield import _is_irreducible, _monic_polys
+
+    checked = 0
+    for q in range(4, 4097):
+        try:
+            p, alpha = prime_power_split(q)
+        except NotPrime:
+            continue
+        if alpha == 1:
+            continue
+        full = next(m for m in _monic_polys(alpha, p) if _is_irreducible(m, p))
+        assert field_create(p, alpha).modulus == tuple(full), q
+        checked += 1
+    assert checked == 40  # 11 powers of 2, 6 of 3, 4 of 5, 3 of 7, 2 each of 11 and 13, 12 squares
+
+
+def test_modulus_search_of_degree_20_is_fast():
+    # before the skip, the 2^19 candidates divisible by x took about 9 s
+    start = time.perf_counter()
+    spec = field_create.__wrapped__(2, 20)  # past the lru cache
+    assert time.perf_counter() - start < 1.0
+    assert spec.modulus == (1,) + (0,) * 16 + (1, 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,14 @@ from thetalab import graph as graph_module
 from thetalab import linalg as linalg_module
 from thetalab.constructions import clique_union, furedi_graph, polarity_graph, polarity_graph_with_loops
 from thetalab.errors import ConvergenceFailure, PreconditionViolated
-from thetalab.experiments import _cycle_free_graph, _edge_positions, _grow_c5_free_masks, _layers_3_colorable, _mask_graph
+from thetalab.experiments import (
+    _cycle_free_graph,
+    _edge_positions,
+    _grow_c5_free_masks,
+    _layers_3_colorable,
+    _mask_graph,
+    _three_colorable_table,
+)
 from thetalab.ffield import element_of_order, field_from_order, field_tables, prime_factors, subgroup
 from thetalab.graph import (
     Graph,
@@ -609,6 +616,15 @@ def test_cycle_free_graph_matches_rebuild(k, seed):
     assert _cycle_free_graph(n, k, np.random.default_rng(seed)) == expected
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_c4_free_graph_rule_matches_whole_graph_search(seed):
+    # the trace-power draws: n in 4..16, pairs refused by the path u-a-b-v rule
+    # against pairs refused by a 4-cycle search of the whole graph
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 17))
+    assert _cycle_free_graph(n, 4, np.random.default_rng(seed)) == cycle_free_graph_rebuild(n, 4, np.random.default_rng(seed))
+
+
 # plus furedi(q, q - 1) on the extension fields with odd p above n = 120
 FUREDI_CASES = [(q, t) for q in _prime_powers(120) for t in range(1, q)
                 if (q - 1) % t == 0 and (q * q - 1) // t <= 120] + [(121, 120), (125, 124), (169, 168)]
@@ -820,6 +836,27 @@ def test_layer_sweep_matches_per_graph_bfs():
         assert _layers_3_colorable(n, graphs).tolist() == expected
         violations[n] = expected.count(False)
     assert violations == {1: 0, 2: 0, 3: 0, 4: 0, 5: 1, 6: 172}
+
+
+def three_colorable_bits(n: int) -> np.ndarray:
+    edges = len(_edge_positions(n))
+    return np.unpackbits(_three_colorable_table(n), bitorder="little")[: 1 << edges].astype(bool)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_three_colorable_table_on_every_edge_mask(n):
+    bits = three_colorable_bits(n)
+    assert bits.tolist() == [chromatic_number_exact(_mask_graph(n, m)) <= 3 for m in range(len(bits))]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_three_colorable_table_on_a_sample(n):
+    bits = three_colorable_bits(n)
+    assert _three_colorable_table(n).nbytes == len(bits) // 8  # bit-packed: 256 KB at n = 7
+    sample = np.random.default_rng(5 + n).integers(0, len(bits), 400).tolist()
+    verdicts = [chromatic_number_exact(_mask_graph(n, m)) <= 3 for m in sample]
+    assert bits[sample].tolist() == verdicts
+    assert 0 < sum(verdicts) < len(sample)
 
 
 def test_layer_sweep_sees_a_bad_second_layer():
