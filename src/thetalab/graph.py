@@ -321,8 +321,7 @@ def contains_complete_bipartite(g: Graph, t: int, s: int) -> bool:
             if common.bit_count() < s:
                 break
         else:
-            if common.bit_count() >= s:
-                return True
+            return True
     return False
 
 
@@ -404,21 +403,6 @@ def bfs_layers(g: Graph, v: int) -> list[set[int]]:
         frontier = nxt
 
 
-def _greedy_coloring_bound(g: Graph) -> int:
-    """Colors used by largest-degree-first greedy; an upper bound on chi."""
-    order = sorted(range(g.n), key=lambda v: -g.degree(v))
-    colors = {}
-    used = 0
-    for v in order:
-        taken = {colors[u] for u in _bits(g.adj[v]) if u in colors}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-        used = max(used, c + 1)
-    return used
-
-
 def _k_colorable(g: Graph, k: int) -> bool:
     """Exact k-colorability by saturation-ordered backtracking."""
     n, adj = g.n, g.adj
@@ -463,16 +447,14 @@ def _k_colorable(g: Graph, k: int) -> bool:
 
 
 def chromatic_number_exact(g: Graph) -> int:
-    """Exact chromatic number; clique lower bound, greedy upper bound,
-    backtracking in between."""
+    """Exact chromatic number: the first k from the clique bound up that
+    backtracking can colour with."""
     if g.n > CHROMATIC_N_CAP:
         raise ComplexityRefused(f"n = {g.n} exceeds chromatic cap {CHROMATIC_N_CAP}")
     if g.n == 0:
         return 0
-    lower = max_clique_size(g)
-    upper = _greedy_coloring_bound(g)
-    k = lower
-    while k < upper and not _k_colorable(g, k):
+    k = max_clique_size(g)
+    while not _k_colorable(g, k):
         k += 1
     return k
 

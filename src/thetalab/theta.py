@@ -104,12 +104,10 @@ def theta_sdp(g: Graph, tol: float = DEFAULT_TOL, iteration_cap: int = DEFAULT_I
     ones = np.ones((n, n))
     diag = np.diag_indices(n)
 
-    def affine_project(m: np.ndarray) -> np.ndarray:
-        out = m.copy()
-        if has_edges:
-            out[rows, cols] = 0.0
-        out[diag] -= (np.trace(out) - 1.0) / n
-        return out
+    def affine_project(m: np.ndarray) -> np.ndarray:  # m is a fresh temporary, projected in place
+        m[rows, cols] = 0.0
+        m[diag] -= (np.trace(m) - 1.0) / n
+        return m
 
     def certified_value(xc: np.ndarray) -> tuple[float, np.ndarray]:
         # absorb any negative eigenvalue by mixing toward I/n; the mix
@@ -124,20 +122,19 @@ def theta_sdp(g: Graph, tol: float = DEFAULT_TOL, iteration_cap: int = DEFAULT_I
 
     def dual_from_edges(src: np.ndarray) -> np.ndarray:
         out = ones.copy()
-        if has_edges:
-            out[rows, cols] = src[rows, cols]
+        out[rows, cols] = src[rows, cols]
         return out
 
     x = eye / n
-    y = x.copy()
+    y = x
     corr = np.zeros((n, n))
     rho = float(max(n, 2))
-    b_sub = ones.copy()
+    b_sub = ones
     svals, svecs = eigh_dense(b_sub)
     b_sub_top, b_sub_vec = float(svals[0]), svecs[:, 0]
 
     best_lower, best_x = certified_value(x)
-    best_upper, best_b = b_sub_top, b_sub.copy()
+    best_upper, best_b = b_sub_top, b_sub
     rounds = 0
     iterations = 0
 
@@ -162,7 +159,7 @@ def theta_sdp(g: Graph, tol: float = DEFAULT_TOL, iteration_cap: int = DEFAULT_I
         if h_top < best_upper:
             best_upper, best_b = h_top, harvest
         if b_sub_top < best_upper:
-            best_upper, best_b = b_sub_top, b_sub.copy()
+            best_upper, best_b = b_sub_top, b_sub
         if best_upper - best_lower <= tol:
             break
         if has_edges:

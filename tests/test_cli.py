@@ -452,19 +452,41 @@ def test_package_names_are_their_modules_names(module):
         thetalab.no_such_name  # noqa: B018
 
 
-def test_bench_tracer_hooks_resolve():
+def _load_bench_module(name: str, monkeypatch):
+    """bench/<name>.py, registered under its own name for as long as the test runs (workloads.py
+    imports tracer by that name, and its dataclasses look their module up)."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).parents[1] / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_hooks_resolve(monkeypatch):
     """Every name bench/tracer.py wraps or patches exists, so `bench/run.py --trace 1` can install."""
     from thetalab.ffield import FieldSpec
     from thetalab.theta import ThetaResult
 
-    spec = importlib.util.spec_from_file_location("bench_tracer", Path(__file__).parents[1] / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_bench_module("tracer", monkeypatch)
     assert tracer._FUNCTIONS
     for modname, attr, _, _ in tracer._FUNCTIONS:
         assert callable(getattr(sys.modules[modname], attr, None)), f"{modname}.{attr}"
     assert set(tracer._FIELD_OPS) <= set(vars(FieldSpec))
     assert "__post_init__" in vars(ThetaResult)
+
+
+def test_cli_mix_matches_bench_references(tmp_path, capsys, monkeypatch):
+    """Every cli-mix command, run in process, gives the exit code and stdout digest bench/references.json pins."""
+    _load_bench_module("tracer", monkeypatch)
+    workloads = _load_bench_module("workloads", monkeypatch)
+    refs = workloads.load_references()["cli-mix"]
+    workloads.write_cli_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert len(workloads.CLI_COMMANDS) == 25
+    for command in workloads.CLI_COMMANDS:
+        code = main(command.split())
+        out = capsys.readouterr().out.encode()
+        assert (code, workloads.stdout_digest(out)) == (refs[command]["exit"], refs[command]["stdout_sha256"]), command
 
 
 # run in a fresh process: which thetalab modules are registered, which have run, and whether numpy was imported

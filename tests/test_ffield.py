@@ -145,6 +145,14 @@ def test_modulus_search_of_degree_20_is_fast():
     assert spec.modulus == (1,) + (0,) * 16 + (1, 0, 0, 1)
 
 
+def test_modulus_search_of_degree_24_is_fast():
+    # enumerating, only to skip, the 2^23 candidates with constant term 0 took 4-6 s
+    start = time.perf_counter()
+    spec = field_create.__wrapped__(2, 24)
+    assert time.perf_counter() - start < 1.0
+    assert spec.modulus == (1,) + (0,) * 19 + (1, 1, 0, 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------

@@ -300,6 +300,29 @@ def test_chromatic_examples():
     assert chromatic_number_exact(empty_graph(0)) == 0
 
 
+def test_chromatic_climbs_two_steps_above_the_clique_bound():
+    # the Groetzsch graph (Mycielski of C5): triangle-free, chromatic number 4
+    cycle = [(i, (i + 1) % 5) for i in range(5)]
+    shadows = [(5 + i, j) for i in range(5) for j in ((i + 1) % 5, (i - 1) % 5)]
+    hub = [(5 + i, 10) for i in range(5)]
+    g = from_edges(11, cycle + shadows + hub)
+    assert max_clique_size(g) == 2
+    assert chromatic_number_exact(g) == 4
+
+
+def test_chromatic_of_a_crown_graph():
+    # K_{6,6} minus a perfect matching, sides interleaved (u_i = 2i, v_i = 2i + 1): a
+    # greedy colouring in vertex order, which is also its degree order, uses 6 colours
+    n = 6
+    g = from_edges(2 * n, [(2 * i, 2 * j + 1) for i in range(n) for j in range(n) if i != j])
+    colours = {}
+    for v in range(g.n):
+        taken = {colours[u] for u in g.neighbors(v) if u in colours}
+        colours[v] = min(c for c in range(g.n) if c not in taken)
+    assert len(set(colours.values())) == n
+    assert chromatic_number_exact(g) == 2
+
+
 def test_chromatic_random_vs_brute():
     rng = np.random.default_rng(17)
     for _ in range(25):

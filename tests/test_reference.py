@@ -608,12 +608,20 @@ def test_trace_power_matches_two_decompositions(case):
     assert out.lam_top == float(eigen_sym(m).eigenvalues[0])
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("seed", range(6))
 def test_cycle_free_graph_matches_rebuild(k, seed):
     n = 4 + 2 * seed
     expected = cycle_free_graph_rebuild(n, k, np.random.default_rng(seed))
     assert _cycle_free_graph(n, k, np.random.default_rng(seed)) == expected
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_cycle_free_graph_refuses_other_k_before_drawing(k):
+    rng = np.random.default_rng(0)
+    with pytest.raises(PreconditionViolated):
+        _cycle_free_graph(8, k, rng)
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 @pytest.mark.parametrize("seed", range(40))
