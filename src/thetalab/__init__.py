@@ -31,8 +31,7 @@ _EXPORTS = {
         "parse_pattern",
     ),
     "linalg": (
-        "Spectrum", "SymMatrix", "adjacency_dense", "adjacency_sym", "eigen_sym", "eigvals_sym", "numeric_rank",
-        "psd_project", "sym_from_dense", "trace_power",
+        "Spectrum", "SymMatrix", "adjacency_dense", "adjacency_sym", "eigen_sym", "eigvals_sym", "sym_from_dense",
     ),
     "constructions": (
         "FurediGraph", "SquareIdentityReport", "furedi_graph", "furedi_square_identity", "polarity_graph",

@@ -122,7 +122,7 @@ def cmd_spectrum(args) -> int:
     g = _load(args.graph, graph.graph_from_json, "graph")
     if g.n == 0:
         raise PreconditionViolated("graph must have at least one vertex")
-    spec = linalg.eigen_sym(linalg.adjacency_sym(g))
+    spec = (linalg.eigen_sym if args.json else linalg.eigvals_sym)(linalg.adjacency_sym(g))
     if args.json:
         _emit({"n": g.n,
                "eigenvalues": [float(v) for v in spec.eigenvalues],

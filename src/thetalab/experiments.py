@@ -12,13 +12,15 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 # Runners reach each layer through its lazily registered module, so an
 # experiment loads only the layers it calls.
 from . import constructions, graph, linalg, ortho, theta
 from .errors import PreconditionViolated
+
+if TYPE_CHECKING:  # numpy is imported in the functions that use it, so refusing a name never loads it
+    import numpy as np
 
 SQRT5 = math.sqrt(5.0)
 
@@ -229,6 +231,8 @@ def _run_theta_sandwich(seed: int):
 
 
 def _run_schnirelmann(seed: int):
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     rep_pass = 0
     worst = math.inf
@@ -279,7 +283,7 @@ def _run_msr_cycle(seed: int):
         if ortho.validate_rep(rep, g).ok and rep.d == -(-n // s):
             valid_n += 1
         m = ortho.gram(rep).dense()
-        square_sum = float(np.sum(m * m))  # exact: entries are exact 0.0 / 1.0
+        square_sum = float((m * m).sum())  # exact: entries are exact 0.0 / 1.0
         if square_sum == float(n * s):
             eq_n += 1
         elif first_miss is None:
@@ -306,6 +310,8 @@ def _run_msr_cycle(seed: int):
 
 
 def _run_trace_power(seed: int):
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     checks = []
     # (parity, t, forbidden cycle length, samples, rep seed stride, trace claim, lambda claim)
@@ -329,6 +335,8 @@ def _run_trace_power(seed: int):
 
 
 def _run_claim1_sandwich(seed: int):
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     upper_pass = 0
     for i in range(30):
@@ -372,6 +380,8 @@ def _edge_positions(n: int):
 
 def _pairs_inside(n: int) -> np.ndarray:
     """Per vertex set S (a bitmask over n vertices), the edge mask of the pairs inside S."""
+    import numpy as np
+
     sets = np.arange(1 << n)
     inside = np.zeros(1 << n, dtype=np.uint32)
     for k, (u, v) in enumerate(_edge_positions(n)):
@@ -388,6 +398,8 @@ def _grow_c5_free_masks(n_max: int):
     n - 1 plus a new vertex x.  A 5-cycle through x is x-a-b-c-d-x, so x may join any
     neighbour set S that holds no two ends a, d of a 3-edge path a-b-c-d.
     """
+    import numpy as np
+
     free = np.zeros(1, dtype=np.uint32)
     yield free
     for n in range(2, n_max + 1):
@@ -419,6 +431,8 @@ def _mask_graph(n: int, mask: int) -> graph.Graph:
 
 def _layer_edge_masks(n: int, graphs: np.ndarray):
     """Per root, the edge masks induced by BFS layers A_1 and A_2 of every graph."""
+    import numpy as np
+
     nbr = np.zeros((n, len(graphs)), dtype=np.uint8)
     inside = _pairs_inside(n)
     for k, (u, v) in enumerate(_edge_positions(n)):
@@ -445,6 +459,8 @@ def _three_colorable_table(n: int) -> np.ndarray:
     marks are closed under taking subsets one edge bit at a time: bits k < 3 within each
     byte, higher bits across bytes.  Packed, n = 7 takes 2^21 bits = 256 KB.
     """
+    import numpy as np
+
     edges = _edge_positions(n)
     full = (1 << len(edges)) - 1
     colours = np.array([(0, *c) for c in itertools.product(range(3), repeat=n - 1)], dtype=np.uint8)
@@ -463,6 +479,8 @@ def _three_colorable_table(n: int) -> np.ndarray:
 
 def _layers_3_colorable(n: int, graphs: np.ndarray) -> np.ndarray:
     """Per graph: whether every BFS layer A_i, i <= 2, of every root is 3-colourable."""
+    import numpy as np
+
     table = _three_colorable_table(n)
     ok = np.ones(len(graphs), dtype=bool)
     for m in _layer_edge_masks(n, graphs):
@@ -475,7 +493,7 @@ def _run_layer_coloring(seed: int):
     cross_agree = cross_total = 0
     for n, free in enumerate(_grow_c5_free_masks(7), start=1):
         ok = _layers_3_colorable(n, free)
-        violations = int(np.count_nonzero(~ok))
+        violations = int((~ok).sum())
         for idx in range(0, len(free), 20000):  # spot-check the sweep against the library op
             cross_total += 1
             cross_agree += graph.layer_chromatic_check(_mask_graph(n, int(free[idx])), 5).ok == bool(ok[idx])

@@ -1,6 +1,6 @@
 """Dense symmetric linear algebra: read-only dense symmetric matrices, an
 in-house eigendecomposition (Householder tridiagonalization + implicit-shift
-QL), trace powers, numeric rank, and PSD projection.
+QL) whose Spectrum gives trace powers and numeric rank, and PSD projection.
 
 numpy supplies array storage and BLAS-level products only; the
 eigensolver itself is local so results are reproducible across
@@ -281,22 +281,8 @@ def eigvals_sym(m: SymMatrix) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 
-def trace_power(m: SymMatrix, k: int) -> float:
-    """tr(M^k) = sum of lambda_i^k, from the spectrum."""
-    return eigvals_sym(m).power_sum(k)
-
-
-def numeric_rank(m: SymMatrix) -> int:
-    """Count of eigenvalues above the cut of Spectrum.rank."""
-    return eigvals_sym(m).rank()
-
-
 def psd_project_dense(a: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest PSD matrix to a symmetric array: clamp negative eigenvalues to zero."""
     vals, vecs = eigh_dense(a)
     clipped = np.maximum(vals, 0.0)
     return (vecs * clipped) @ vecs.T
-
-
-def psd_project(m: SymMatrix) -> SymMatrix:
-    """Frobenius-nearest PSD matrix: clamp negative eigenvalues to zero."""
-    return sym_from_dense(psd_project_dense(m.dense()))

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedPattern,
 )
 from .graph import Graph, clique_union, clique_union_parts, complement, contains_clique, contains_cycle, cycle_graph, graph_from_json, graph_to_json, json_int, json_number, parse_pattern
-from .linalg import POWER_SUM_MAX, SymMatrix, adjacency_dense, eigvals_sym, sym_from_dense, trace_power
+from .linalg import POWER_SUM_MAX, SymMatrix, adjacency_dense, eigvals_sym, sym_from_dense
 
 # slack of rep validation (unit norms, orthogonality) and of the msr chain
 REP_TOL = 1e-8
@@ -270,7 +270,7 @@ def msr_lower_chain_check(rep: OrthoRep, g: Graph, t: int) -> MsrChainReport:
         raise PreconditionViolated(f"msr chain needs t >= 1, got {t}")
     require_valid_rep(rep, g)
     m = gram(rep)
-    t2 = trace_power(m, 2)
+    t2 = eigvals_sym(m).power_sum(2)
     n = g.n
     trace_link = t2 <= n * t + REP_TOL * max(1.0, n * t)
     chain = n * n <= rep.d * t2 * (1.0 + REP_TOL)

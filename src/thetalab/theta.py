@@ -99,7 +99,6 @@ def theta_sdp(g: Graph, tol: float = DEFAULT_TOL, iteration_cap: int = DEFAULT_I
         raise PreconditionViolated(f"iteration_cap must be >= 1, got {iteration_cap}")
 
     rows, cols = np.nonzero(adjacency_dense(g))
-    has_edges = rows.size > 0
     eye = np.eye(n)
     ones = np.ones((n, n))
     diag = np.diag_indices(n)
@@ -113,8 +112,7 @@ def theta_sdp(g: Graph, tol: float = DEFAULT_TOL, iteration_cap: int = DEFAULT_I
         # absorb any negative eigenvalue by mixing toward I/n; the mix
         # keeps the zero pattern and unit trace exactly
         xc = (xc + xc.T) / 2.0  # edge entries are 0 in both triangles
-        vals, _ = eigh_dense(xc, vectors=False)
-        lam_min = float(vals[-1])
+        lam_min = float(eigh_dense(xc, vectors=False)[0][-1])
         if lam_min < 0.0:
             shift = -lam_min
             xc = (xc + shift * eye) / (1.0 + shift * n)
@@ -125,13 +123,15 @@ def theta_sdp(g: Graph, tol: float = DEFAULT_TOL, iteration_cap: int = DEFAULT_I
         out[rows, cols] = src[rows, cols]
         return out
 
+    def top_value(b: np.ndarray) -> float:
+        return float(eigh_dense(b, vectors=False)[0][0])
+
     x = eye / n
     y = x
     corr = np.zeros((n, n))
     rho = float(max(n, 2))
     b_sub = ones
-    svals, svecs = eigh_dense(b_sub)
-    b_sub_top, b_sub_vec = float(svals[0]), svecs[:, 0]
+    b_sub_top = top_value(b_sub)
 
     best_lower, best_x = certified_value(x)
     best_upper, best_b = b_sub_top, b_sub
@@ -152,26 +152,22 @@ def theta_sdp(g: Graph, tol: float = DEFAULT_TOL, iteration_cap: int = DEFAULT_I
         if value > best_lower:
             best_lower, best_x = value, certified
 
-        # (b) dual candidates: correction-term harvest and subgradient iterate
+        # (b) dual candidates, ranked by top eigenvalue: correction-term harvest and subgradient iterate
         harvest = dual_from_edges(corr)
-        hvals, hvecs = eigh_dense(harvest)
-        h_top = float(hvals[0])
+        h_top = top_value(harvest)
         if h_top < best_upper:
             best_upper, best_b = h_top, harvest
         if b_sub_top < best_upper:
             best_upper, best_b = b_sub_top, b_sub
         if best_upper - best_lower <= tol:
             break
-        if has_edges:
-            if b_sub_top <= h_top:
-                base, top_vec = b_sub, b_sub_vec
-            else:
-                base, top_vec = harvest, hvecs[:, 0]
+        if rows.size:  # a step needs edges; its base's top eigenvector is the one read
+            base = b_sub if b_sub_top <= h_top else harvest
+            top_vec = eigh_dense(base)[1][:, 0]
             grad = np.zeros((n, n))
             grad[rows, cols] = np.outer(top_vec, top_vec)[rows, cols]
             b_sub = base - (1.0 / math.sqrt(rounds)) * grad
-            svals, svecs = eigh_dense(b_sub)
-            b_sub_top, b_sub_vec = float(svals[0]), svecs[:, 0]
+            b_sub_top = top_value(b_sub)
 
     result = ThetaResult(
         lower=best_lower,

@@ -406,17 +406,17 @@ def test_package_reads_no_environment():
 
 def test_limits_are_module_constants():
     from thetalab.graph import chromatic_number_exact, contains_complete_bipartite
-    from thetalab.linalg import Spectrum, numeric_rank, sym_from_dense
+    from thetalab.linalg import Spectrum, sym_from_dense
     from thetalab.ortho import msr_lower_chain_check, validate_rep
     from thetalab.theta import transitive_identity_check
 
     for fn in (contains_complete_bipartite, chromatic_number_exact, validate_rep, msr_lower_chain_check,
-               transitive_identity_check, Spectrum.rank, numeric_rank, sym_from_dense):
+               transitive_identity_check, Spectrum.rank, sym_from_dense):
         assert not {"cap", "tol"} & set(inspect.signature(fn).parameters), fn.__name__
     assert not hasattr(thetalab, "solver_cap")
 
 
-# every name the package exported before its submodules were registered lazily
+# every name the package exports, by owning module
 PACKAGE_EXPORTS = {
     "errors": "ComplexityRefused ConvergenceFailure DimensionMismatch DivisionByZero GapNotReached "
               "HandleOrthogonalToVector IndexOutOfRange LoopRejected NoEdges NotACliqueCover NotPrime "
@@ -427,8 +427,7 @@ PACKAGE_EXPORTS = {
              "complete_graph contains_clique contains_complete_bipartite contains_cycle contains_pattern cycle_graph "
              "empty_graph from_edges graph_from_json graph_from_text graph_to_json graph_to_text induced_subgraph "
              "layer_chromatic_check max_clique_size parse_pattern",
-    "linalg": "Spectrum SymMatrix adjacency_dense adjacency_sym eigen_sym eigvals_sym numeric_rank psd_project "
-              "sym_from_dense trace_power",
+    "linalg": "Spectrum SymMatrix adjacency_dense adjacency_sym eigen_sym eigvals_sym sym_from_dense",
     "constructions": "FurediGraph SquareIdentityReport furedi_graph furedi_square_identity polarity_graph "
                      "polarity_graph_with_loops",
     "ortho": "MsrChainReport OrthoRep RepValidation SchnirelmannReport TracePowerReport basis_rep_from_clique_cover "
@@ -450,6 +449,10 @@ def test_package_names_are_their_modules_names(module):
         assert name in thetalab.__all__ and name in dir(thetalab), name
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         thetalab.no_such_name  # noqa: B018
+
+
+def test_package_exports_no_other_names():
+    assert sorted(thetalab.__all__) == sorted(name for names in PACKAGE_EXPORTS.values() for name in names.split())
 
 
 def _load_bench_module(name: str, monkeypatch):
@@ -526,6 +529,7 @@ _LAYER_CASES = {
     "theta": ("theta --graph c5.json", "errors graph linalg theta", True, 0),
     **{f"verify-{name}": (f"verify paper --experiment {name}", layers, True, code)
        for name, (layers, code) in _EXPERIMENT_LAYERS.items()},
+    "verify-unknown": ("verify paper --experiment nope", "errors experiments", False, 2),
 }
 
 
@@ -535,10 +539,13 @@ def test_commands_run_only_their_layers(tmp_path, argv, layers, numpy, code):
     (tmp_path / "rep.json").write_text(json.dumps(rep_to_json(umbrella_rep())))
     proc = subprocess.run([sys.executable, "-c", _LAYER_PROBE, *argv.split()], cwd=tmp_path, env=child_env(),
                           capture_output=True, timeout=120)
-    registered, at_start, after, numpy_imported, exit_code = json.loads(proc.stderr.splitlines()[-1])
+    *messages, probe = proc.stderr.decode().splitlines()
+    registered, at_start, after, numpy_imported, exit_code = json.loads(probe)
     assert registered == sorted(["cli", *PACKAGE_EXPORTS])
     assert at_start == ["errors"]  # building the parser runs no layer
     assert (after, numpy_imported, exit_code) == (layers.split(), numpy, code)
+    if code == 2:  # a refusal names every experiment it would have accepted
+        assert messages == [f"error: unknown experiment 'nope'; expected one of: {', '.join(EXPERIMENT_NAMES)}"]
 
 
 def test_module_run_writes_nothing_to_stderr(tmp_path):

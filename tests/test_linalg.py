@@ -20,10 +20,8 @@ from thetalab.linalg import (
     eigen_sym,
     eigh_dense,
     eigvals_sym,
-    numeric_rank,
-    psd_project,
+    psd_project_dense,
     sym_from_dense,
-    trace_power,
 )
 
 
@@ -208,17 +206,17 @@ def test_eigh_rotation_record_stays_small():
 
 
 # ---------------------------------------------------------------------------
-# trace_power
+# trace powers and numeric rank, read off one Spectrum
 # ---------------------------------------------------------------------------
 
 
 def test_trace_power_examples():
-    assert trace_power(sym_from_dense(np.eye(3)), 5) == pytest.approx(3.0)
-    assert trace_power(adjacency_sym(cycle_graph(5)), 2) == pytest.approx(10.0, abs=1e-9)
+    assert eigvals_sym(sym_from_dense(np.eye(3))).power_sum(5) == pytest.approx(3.0)
+    assert eigvals_sym(adjacency_sym(cycle_graph(5))).power_sum(2) == pytest.approx(10.0, abs=1e-9)
     # oracle: direct cube of adjacency(K4); diagonal of A^3 counts closed 3-walks
     a = adjacency_dense(complete_graph(4))
     assert np.trace(a @ a @ a) == pytest.approx(24.0)
-    assert trace_power(adjacency_sym(complete_graph(4)), 3) == pytest.approx(24.0, abs=1e-8)
+    assert eigvals_sym(adjacency_sym(complete_graph(4))).power_sum(3) == pytest.approx(24.0, abs=1e-8)
 
 
 def test_trace_power_vs_direct_k_le_6():
@@ -226,44 +224,45 @@ def test_trace_power_vs_direct_k_le_6():
     for _ in range(20):
         n = int(rng.integers(1, 31))
         a = random_sym(n, rng)
-        m = sym_from_dense(a)
+        spec = eigvals_sym(sym_from_dense(a))
         prod = np.eye(n)
         for k in range(1, 7):
             prod = prod @ a
             direct = float(np.trace(prod))
-            viaspec = trace_power(m, k)
+            viaspec = spec.power_sum(k)
             assert abs(viaspec - direct) <= 1e-6 * max(1.0, abs(direct))
 
 
 def test_trace_power_k_bounds():
+    spec = eigvals_sym(sym_from_dense(np.eye(2)))
     with pytest.raises(ValueError):
-        trace_power(sym_from_dense(np.eye(2)), 0)
+        spec.power_sum(0)
     with pytest.raises(ValueError):
-        trace_power(sym_from_dense(np.eye(2)), 65)
-
-
-# ---------------------------------------------------------------------------
-# numeric_rank and psd_project
-# ---------------------------------------------------------------------------
+        spec.power_sum(65)
 
 
 def test_numeric_rank_examples():
-    assert numeric_rank(sym_from_dense(np.ones((3, 3)))) == 1
-    assert numeric_rank(sym_from_dense(np.eye(5))) == 5
-    assert numeric_rank(sym_from_dense(np.zeros((4, 4)))) == 0
+    assert eigvals_sym(sym_from_dense(np.ones((3, 3)))).rank() == 1
+    assert eigvals_sym(sym_from_dense(np.eye(5))).rank() == 5
+    assert eigvals_sym(sym_from_dense(np.zeros((4, 4)))).rank() == 0
 
 
 def test_numeric_rank_projection():
     rng = np.random.default_rng(7)
     for r in (1, 2, 5):
         v = rng.standard_normal((10, r))
-        assert numeric_rank(sym_from_dense(v @ v.T)) == r
+        assert eigvals_sym(sym_from_dense(v @ v.T)).rank() == r
+
+
+# ---------------------------------------------------------------------------
+# psd_project_dense
+# ---------------------------------------------------------------------------
 
 
 def test_psd_project_examples():
-    assert np.allclose(psd_project(sym_from_dense(np.diag([2.0, -1.0]))).dense(), np.diag([2.0, 0.0]))
-    out = psd_project(sym_from_dense([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(out.dense(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
+    assert np.allclose(psd_project_dense(np.diag([2.0, -1.0])), np.diag([2.0, 0.0]))
+    out = psd_project_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(out, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
 
 def test_psd_project_fixed_point_and_idempotent():
@@ -271,11 +270,11 @@ def test_psd_project_fixed_point_and_idempotent():
     for _ in range(20):
         n = int(rng.integers(1, 12))
         b = rng.standard_normal((n, n))
-        psd = b @ b.T
-        out = psd_project(sym_from_dense(psd))
-        assert np.max(np.abs(out.dense() - psd)) <= 1e-9 * max(1.0, np.abs(psd).max())
-        again = psd_project(out)
-        assert np.max(np.abs(again.dense() - out.dense())) <= 1e-8
+        psd = sym_from_dense(b @ b.T).dense()
+        out = psd_project_dense(psd)
+        assert np.max(np.abs(out - psd)) <= 1e-9 * max(1.0, np.abs(psd).max())
+        again = psd_project_dense(sym_from_dense(out).dense())
+        assert np.max(np.abs(again - out)) <= 1e-8
 
 
 def test_psd_project_nearest_oracle():
@@ -285,6 +284,6 @@ def test_psd_project_nearest_oracle():
         a = random_sym(5, rng)
         vals, vecs = np.linalg.eigh(a)
         oracle = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-        ours = psd_project(sym_from_dense(a)).dense()
+        ours = psd_project_dense(a)
         assert np.max(np.abs(ours - oracle)) < 1e-9
         assert np.linalg.eigvalsh(ours).min() >= -1e-9

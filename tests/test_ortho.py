@@ -21,7 +21,7 @@ from thetalab.errors import (
     UnsupportedPattern,
 )
 from thetalab.graph import Graph, complete_graph, contains_cycle, cycle_graph, empty_graph, from_edges
-from thetalab.linalg import sym_from_dense, trace_power
+from thetalab.linalg import eigvals_sym, sym_from_dense
 from thetalab.theta import theta_lower_from_rep, theta_upper_from_rep
 from thetalab.ortho import (
     OrthoRep,
@@ -374,4 +374,4 @@ def test_trace_power_matches_direct_power():
     rep = random_rep(random_graph(7, 0.5, 3), 3)
     m = gram(rep)
     d = m.dense()
-    assert abs(trace_power(m, 3) - np.trace(d @ d @ d)) <= 1e-8
+    assert abs(eigvals_sym(m).power_sum(3) - np.trace(d @ d @ d)) <= 1e-8

@@ -6,12 +6,14 @@ eigenvalue sqrt5 = 2.23606797749979 (5-point circulant formula), and the
 umbrella representation certifies the same value from both sides.
 """
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from thetalab import linalg
 from thetalab import theta as theta_mod
 from thetalab.constructions import clique_union, furedi_graph, polarity_graph
 from thetalab.errors import (
@@ -192,6 +194,33 @@ def test_solver_is_deterministic():
     assert a.lower == b.lower and a.upper == b.upper and a.iterations == b.iterations
     assert a.primal_x.dense().tobytes() == b.primal_x.dense().tobytes()
     assert a.dual_b.dense().tobytes() == b.dual_b.dense().tobytes()
+
+
+def test_solver_decomposes_only_what_it_reads(monkeypatch):
+    """One full eigendecomposition per iteration (the PSD projection) and one per subgradient
+    step (its base's top vector); every other spectrum is values-only.  The bracket, the
+    iteration count and the certificate bytes are frozen from the solver that decomposed
+    both dual candidates fully each round, 303 full decompositions on this graph."""
+    calls = {True: 0, False: 0}
+    eigh_dense = linalg.eigh_dense
+
+    def spy(a, vectors=True):
+        calls[vectors] += 1
+        return eigh_dense(a, vectors)
+
+    monkeypatch.setattr(linalg, "eigh_dense", spy)  # psd_project_dense
+    monkeypatch.setattr(theta_mod, "eigh_dense", spy)
+    r = theta_sdp(complement(furedi_graph(5, 2).graph))
+    # certified every iteration up to 10, then every fifth; the last round meets the gap
+    rounds = sum(1 for k in range(1, r.iterations + 1) if k <= 10 or k % 5 == 0)
+    steps = rounds - 1
+    assert (r.lower, r.upper, r.iterations) == (3.1319815361800663, 3.1319823350211164, 205)
+    assert calls[True] == r.iterations + steps == 253
+    # the ThetaResult checks (2), the start (primal value, subgradient top) and per round the
+    # primal value and the harvest's top, and per step the new iterate's top
+    assert calls[False] == 2 + 2 + 2 * rounds + steps == 150
+    digest = hashlib.sha256(r.primal_x.dense().tobytes() + r.dual_b.dense().tobytes()).hexdigest()
+    assert digest == "47518865eddfb393bb463eb34cde6d173bdc669c4d5ef1ec4bb3e8ba7ae7e394"
 
 
 # --- spectral lower bound -----------------------------------------------------
