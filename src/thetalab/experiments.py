@@ -92,7 +92,9 @@ def _cycle_free_graph(n: int, k: int, rng) -> graph.Graph:
     The pairs are tried in a shuffled order and each is kept unless it closes
     a k-cycle.  The graph before it has none, so for k = 3 the pair uv closes
     one iff u and v have a common neighbour, and for k = 4 iff some neighbour
-    of u is adjacent to some neighbour of v (a path u-a-b-v).
+    of u is adjacent to some neighbour of v (a path u-a-b-v).  The graph is
+    not searched again here: trace-power passes it to
+    trace_power_certificate, which refuses a graph with a k-cycle.
     """
     if k not in (3, 4):
         raise PreconditionViolated(f"cycle-free generator supports k = 3 or 4, got {k}")
@@ -106,10 +108,7 @@ def _cycle_free_graph(n: int, k: int, rng) -> graph.Graph:
             continue
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    g = graph.Graph(n, tuple(adj))
-    if graph.contains_cycle(g, k):  # the generator's promise, re-verified
-        raise PreconditionViolated("cycle-free generator produced a cycle")
-    return g
+    return graph.Graph(n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------

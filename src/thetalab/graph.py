@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
+from itertools import combinations, count, repeat
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -32,6 +32,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 BICLIQUE_SUBSET_CAP = 10**7
+# steps (calls of the path walk) one contains_cycle search may take
+CYCLE_STEP_CAP = 10**7
 CHROMATIC_N_CAP = 40
 # largest vertex count any graph is built with (refuse_above_vertex_cap): the
 # bitset rows alone take n^2/8 bytes, and Graph.packed holds them once more
@@ -47,6 +49,19 @@ def _bits(x: int):
         b = x & -x
         yield b.bit_length() - 1
         x ^= b
+
+
+def _bfs_frontiers(adj, v: int, allowed: int = -1):
+    """The BFS frontiers from v inside allowed ∪ {v}, as bitmasks: the
+    vertices at distance 0, 1, 2, ..., up to the last nonempty one."""
+    frontier = seen = 1 << v
+    while frontier:
+        yield frontier
+        nxt = 0
+        for u in _bits(frontier):
+            nxt |= adj[u]
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
 
 
 @dataclass(frozen=True)
@@ -243,8 +258,9 @@ def contains_cycle(g: Graph, k: int) -> bool:
     A 4-cycle is exactly two distinct vertices with >= 2 common neighbours,
     so k = 4 is decided from codegrees (_codegree_reaches).  Other k use a
     backtracking DFS over simple paths rooted at each cycle's minimum
-    vertex, pruned by BFS distance back to the root.  A cycle longer than
-    n does not fit, so k > n is False without a search.
+    vertex, pruned by BFS distance back to the root; a search longer than
+    CYCLE_STEP_CAP steps is refused with ComplexityRefused.  A cycle longer
+    than n does not fit, so k > n is False without a search.
     """
     if k < 3:
         raise PreconditionViolated("cycle length must be >= 3")
@@ -253,45 +269,29 @@ def contains_cycle(g: Graph, k: int) -> bool:
     if k == 4:
         return _codegree_reaches(g, 2)
     n, adj = g.n, g.adj
+    steps, cap = count(1).__next__, CYCLE_STEP_CAP  # steps() numbers the walk calls
     for s in range(n):
         allowed = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)  # vertices > s
-        # BFS distances from s inside allowed ∪ {s}; unreachable stays large
+        # BFS distances from s inside allowed ∪ {s}; pruning reads only
+        # distances <= k - 2, so farther vertices keep k + 1
         dist = [k + 1] * n
-        dist[s] = 0
-        frontier = 1 << s
-        seen = frontier
-        d = 0
-        while frontier and d <= k:
-            d += 1
-            nxt = 0
+        for d, frontier in zip(range(k - 1), _bfs_frontiers(adj, s, allowed)):
             for u in _bits(frontier):
-                nxt |= adj[u]
-            nxt &= allowed & ~seen
-            for u in _bits(nxt):
                 dist[u] = d
-            seen |= nxt
-            frontier = nxt
-
-        found = False
 
         def walk(u, used, length):
-            nonlocal found
-            if found:
-                return
+            if steps() > cap:
+                raise ComplexityRefused(f"C{k} search exceeds the step cap {cap}")
             if length == k - 1:
-                if adj[u] >> s & 1:
-                    found = True
-                return
+                return bool(adj[u] >> s & 1)
             rem_after = k - length - 1  # edges left after stepping; BFS dist is a lower bound
             for w in _bits(adj[u] & allowed & ~used):
-                if dist[w] <= rem_after:
-                    walk(w, used | (1 << w), length + 1)
-                    if found:
-                        return
+                if dist[w] <= rem_after and walk(w, used | (1 << w), length + 1):
+                    return True
+            return False
 
         for v in _bits(adj[s] & allowed):
-            walk(v, (1 << s) | (1 << v), 1)
-            if found:
+            if walk(v, (1 << s) | (1 << v), 1):
                 return True
     return False
 
@@ -388,19 +388,7 @@ def bfs_layers(g: Graph, v: int) -> list[set[int]]:
     """A_i = vertices at distance exactly i from v; unreachable omitted."""
     if not 0 <= v < g.n:
         raise IndexOutOfRange(f"vertex {v} outside [0,{g.n})")
-    layers = [{v}]
-    seen = 1 << v
-    frontier = 1 << v
-    while True:
-        nxt = 0
-        for u in _bits(frontier):
-            nxt |= g.adj[u]
-        nxt &= ~seen
-        if not nxt:
-            return layers
-        layers.append(set(_bits(nxt)))
-        seen |= nxt
-        frontier = nxt
+    return [set(_bits(frontier)) for frontier in _bfs_frontiers(g.adj, v)]
 
 
 def _k_colorable(g: Graph, k: int) -> bool:
@@ -481,9 +469,8 @@ def layer_chromatic_check(g: Graph, k: int) -> LayerColoringReport:
     max_chi = 0
     ok = True
     for root in range(g.n):
-        layers = bfs_layers(g, root)
-        for i in range(min(i_max, len(layers) - 1) + 1):
-            sub = induced_subgraph(g, layers[i])
+        for i, frontier in zip(range(i_max + 1), _bfs_frontiers(g.adj, root)):
+            sub = induced_subgraph(g, _bits(frontier))
             chi = chromatic_number_exact(sub)
             good = chi <= bound
             ok = ok and good

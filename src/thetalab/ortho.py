@@ -21,7 +21,7 @@ from .errors import (
     RepInvalid,
     UnsupportedPattern,
 )
-from .graph import Graph, clique_union, clique_union_parts, complement, contains_clique, contains_cycle, cycle_graph, graph_from_json, graph_to_json, json_int, json_number, parse_pattern
+from .graph import Graph, clique_union, clique_union_parts, complement, contains_cycle, contains_pattern, cycle_graph, graph_from_json, graph_to_json, json_int, json_number, parse_pattern
 from .linalg import POWER_SUM_MAX, SymMatrix, adjacency_dense, eigvals_sym, sym_from_dense
 
 # slack of rep validation (unit norms, orthogonality) and of the msr chain
@@ -231,18 +231,15 @@ def msr_upper_certificate(n: int, t: int, pattern: str) -> tuple[OrthoRep, Graph
     """Clique union witnessing small semidefinite rank for a forbidden pattern.
 
     t is the clique size (one less than the cycle length for C_k patterns).
-    Builds clique_union(n, t), verifies the requested freeness, and returns
+    Builds clique_union(n, t), verifies the requested freeness with
+    contains_pattern (cycle and clique patterns only), and returns
     the ceil(n/t)-dimensional basis representation with the graph.
     """
-    kind, arg = parse_pattern(pattern)
+    kind, _ = parse_pattern(pattern)
     g = clique_union(n, t)
-    if kind == "cycle":
-        free = not contains_cycle(g, arg)
-    elif kind == "clique":
-        free = not contains_clique(g, arg)
-    else:
+    if kind == "biclique":
         raise UnsupportedPattern(f"cannot certify freeness for {pattern!r}")
-    if not free:
+    if contains_pattern(g, pattern):
         raise PreconditionViolated(f"clique_union({n},{t}) contains {pattern}")
     rep = basis_rep_from_clique_cover(g, clique_union_parts(n, t))
     require_valid_rep(rep, g)

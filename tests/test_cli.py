@@ -19,7 +19,7 @@ import pytest
 import thetalab
 from thetalab.cli import main
 from thetalab.experiments import EXPERIMENT_NAMES, run_experiment, run_experiments
-from thetalab.graph import cycle_graph, graph_from_json, graph_to_json
+from thetalab.graph import cycle_graph, from_edges, graph_from_json, graph_to_json
 from thetalab.ortho import basis_rep_from_clique_cover, rep_to_json, umbrella_rep
 from thetalab.constructions import clique_union, clique_union_parts
 
@@ -269,9 +269,14 @@ def test_bad_parameters_exit_two(capsys, argv, needle):
     # refused before q is factored, which took up to sqrt(q)/2 trial divisions
     pytest.param(["construct", "polarity", "--q", "2305843009213693951"],
                  "field order 2305843009213693951 exceeds 2147483648", id="polarity-order-above-the-cap"),
+    # the C7 search of K_{8,8} takes 45,760 walk steps, above the cap of 10^4 set below
+    pytest.param(["check", "free", "--pattern", "C7", "--graph", "{k88}"],
+                 "C7 search exceeds the step cap 10000", id="cycle-search-above-the-step-cap"),
 ])
-def test_refused_inputs_exit_two(tmp_path, capsys, args, needle):
+def test_refused_inputs_exit_two(tmp_path, capsys, monkeypatch, args, needle):
+    monkeypatch.setattr(thetalab.graph, "CYCLE_STEP_CAP", 10**4)
     files = {"c5": write_graph(tmp_path / "c5.json", cycle_graph(5)), "rep": str(tmp_path / "rep.json")}
+    files["k88"] = write_graph(tmp_path / "k88.json", from_edges(16, [(u, 8 + v) for u in range(8) for v in range(8)]))
     g = clique_union(9, 3)
     (tmp_path / "rep.json").write_text(json.dumps(rep_to_json(basis_rep_from_clique_cover(g, clique_union_parts(9, 3)))))
     for name, vectors in (("str_entry", [["1"], [1.0]]), ("bool_entry", [[1.0], [True]]), ("huge_entry", [[10**400], [1.0]]),
@@ -348,6 +353,22 @@ def test_experiment_reports_are_seed_deterministic():
     assert a.passed and a.seed == 1
 
 
+def test_trace_power_searches_each_sample_once(monkeypatch):
+    from thetalab import graph, ortho
+
+    searched = []
+    real = graph.contains_cycle
+
+    def spy(g, k):
+        searched.append(k)
+        return real(g, k)
+
+    monkeypatch.setattr(graph, "contains_cycle", spy)  # the binding experiments reads
+    monkeypatch.setattr(ortho, "contains_cycle", spy)  # the binding require_cycle_free reads
+    assert run_experiment("trace-power").passed
+    assert sorted(searched) == [3] * 50 + [4] * 20  # one search per sample, the certificate's
+
+
 def test_run_experiments_rejects_unknown():
     from thetalab.errors import PreconditionViolated
 
@@ -405,12 +426,12 @@ def test_package_reads_no_environment():
 
 
 def test_limits_are_module_constants():
-    from thetalab.graph import chromatic_number_exact, contains_complete_bipartite
+    from thetalab.graph import chromatic_number_exact, contains_complete_bipartite, contains_cycle
     from thetalab.linalg import Spectrum, sym_from_dense
     from thetalab.ortho import msr_lower_chain_check, validate_rep
     from thetalab.theta import transitive_identity_check
 
-    for fn in (contains_complete_bipartite, chromatic_number_exact, validate_rep, msr_lower_chain_check,
+    for fn in (contains_cycle, contains_complete_bipartite, chromatic_number_exact, validate_rep, msr_lower_chain_check,
                transitive_identity_check, Spectrum.rank, sym_from_dense):
         assert not {"cap", "tol"} & set(inspect.signature(fn).parameters), fn.__name__
     assert not hasattr(thetalab, "solver_cap")

@@ -168,6 +168,19 @@ def test_contains_cycle_rejects_small_k():
         contains_cycle(cycle_graph(5), 2)
 
 
+def complete_bipartite(a, b):
+    return from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def test_contains_cycle_step_cap(monkeypatch):
+    g = complete_bipartite(8, 8)  # no odd cycle; the C7 search takes 45,760 walk steps
+    assert not contains_cycle(g, 7)
+    monkeypatch.setattr(graph_module, "CYCLE_STEP_CAP", 10**4)
+    with pytest.raises(ComplexityRefused, match="C7 search exceeds the step cap 10000"):
+        contains_cycle(g, 7)
+    assert contains_cycle(g, 6) and contains_cycle(cycle_graph(7), 7)  # found within the cap
+
+
 def test_contains_cycle_exhaustive_n5():
     # every labeled graph on 5 vertices, every k
     pairs = list(combinations(range(5), 2))
@@ -355,6 +368,26 @@ def test_layer_check_tree():
     rep = layer_chromatic_check(tree, 5)
     assert rep.ok
     assert rep.max_layer_chi == 1  # layers of a tree are independent sets
+
+
+def layer_entries_rebuild(g, k):
+    """layer_chromatic_check's entries from bfs_layers, cut at i_max."""
+    i_max = (k - 1) // 2
+    entries = []
+    for root in range(g.n):
+        layers = bfs_layers(g, root)
+        for i in range(min(i_max, len(layers) - 1) + 1):
+            chi = chromatic_number_exact(induced_subgraph(g, layers[i]))
+            entries.append((root, i, chi, chi <= k - 2))
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("g", [
+    from_edges(8, [(v, v + 1) for v in range(6)] + [(0, 2)]),  # path with a triangle, and isolated vertex 7
+    from_edges(9, [(0, v) for v in range(1, 5)] + [(5, 6), (6, 7), (7, 8), (5, 7)]),  # star of depth 1 < i_max
+], ids=["isolated-vertex", "shallow-component"])
+def test_layer_check_entries_match_bfs_layers(g):
+    assert layer_chromatic_check(g, 5).entries == layer_entries_rebuild(g, 5)
 
 
 def test_layer_check_exhaustive_n4():

@@ -1,7 +1,7 @@
 """Library validation and certificates against plain reference versions.
 
 The references are O(n^2) Python loops for the certificate checks, the
-path DFS and the pair loop for the 4-cycle and K_{2,s} searches, one
+path DFS for the cycle searches, the pair loop for the K_{2,s} search, one
 eigendecomposition per derived quantity for the trace certificates, a
 full rebuild per candidate edge for the cycle-free generator, the
 per-pair FieldSpec arithmetic for the finite-field constructions, the
@@ -768,6 +768,16 @@ def test_table_generator_matches_element_of_order(q):
             h = element_of_order(f, t)
             assert tab.element_of_order(t) == f.index(h)
             assert tab.subgroup(f.index(h), t).tolist() == [f.index(x) for x in subgroup(f, h, t)]
+
+
+@SETTINGS
+@given(search_graphs(n_max=12), st.integers(0, 2), st.sampled_from([3, 5, 6, 7]))
+@example(empty_graph(0), 3, 3)
+@example(from_edges(7, [(v, (v + 1) % 7) for v in range(7)]), 2, 7)
+def test_cycle_search_matches_dfs(g, isolated, k):
+    # the isolated vertices come first, so they are the first roots searched
+    g = from_edges(g.n + isolated, [(u + isolated, v + isolated) for u, v in g.edges()])
+    assert contains_cycle(g, k) == contains_cycle_dfs(g, k)
 
 
 @SETTINGS
