@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations, count, repeat
+from itertools import combinations, repeat
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -31,10 +33,9 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-BICLIQUE_SUBSET_CAP = 10**7
-# steps (calls of the path walk) one contains_cycle search may take
-CYCLE_STEP_CAP = 10**7
-CHROMATIC_N_CAP = 40
+# steps one exact search may take (_step_cap says what a step is); the K_{t,s}
+# search with t >= 3 refuses more than this many t-subsets up front
+SEARCH_STEP_CAP = 10**7
 # largest vertex count any graph is built with (refuse_above_vertex_cap): the
 # bitset rows alone take n^2/8 bytes, and Graph.packed holds them once more
 GRAPH_N_CAP = 20_000
@@ -62,6 +63,32 @@ def _bfs_frontiers(adj, v: int, allowed: int = -1):
             nxt |= adj[u]
         frontier = nxt & allowed & ~seen
         seen |= frontier
+
+
+@contextmanager
+def _step_cap(what: str):
+    """Count one exact search's steps under SEARCH_STEP_CAP.
+
+    The block gets step(k), which counts k steps and raises
+    ComplexityRefused once the search has taken more than the cap.  A step
+    is one call of the path walk (contains_cycle), one vertex placed by the
+    colour sort (max_clique_size), or one vertex or neighbour that the
+    colouring's pick scans (_k_colorable).  A RecursionError, from a search
+    deeper than Python's recursion limit, leaves the block as
+    ComplexityRefused too.
+    """
+    cap = left = SEARCH_STEP_CAP
+
+    def step(k=1):
+        nonlocal left
+        left -= k
+        if left < 0:
+            raise ComplexityRefused(f"{what} search exceeds the step cap {cap}")
+
+    try:
+        yield step
+    except RecursionError:
+        raise ComplexityRefused(f"{what} search recurses past the recursion limit {sys.getrecursionlimit()}") from None
 
 
 @dataclass(frozen=True)
@@ -258,9 +285,10 @@ def contains_cycle(g: Graph, k: int) -> bool:
     A 4-cycle is exactly two distinct vertices with >= 2 common neighbours,
     so k = 4 is decided from codegrees (_codegree_reaches).  Other k use a
     backtracking DFS over simple paths rooted at each cycle's minimum
-    vertex, pruned by BFS distance back to the root; a search longer than
-    CYCLE_STEP_CAP steps is refused with ComplexityRefused.  A cycle longer
-    than n does not fit, so k > n is False without a search.
+    vertex, pruned by BFS distance back to the root; a search of more than
+    SEARCH_STEP_CAP walk calls, or one deeper than the recursion limit, is
+    refused with ComplexityRefused.  A cycle longer than n does not fit,
+    so k > n is False without a search.
     """
     if k < 3:
         raise PreconditionViolated("cycle length must be >= 3")
@@ -269,30 +297,29 @@ def contains_cycle(g: Graph, k: int) -> bool:
     if k == 4:
         return _codegree_reaches(g, 2)
     n, adj = g.n, g.adj
-    steps, cap = count(1).__next__, CYCLE_STEP_CAP  # steps() numbers the walk calls
-    for s in range(n):
-        allowed = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)  # vertices > s
-        # BFS distances from s inside allowed ∪ {s}; pruning reads only
-        # distances <= k - 2, so farther vertices keep k + 1
-        dist = [k + 1] * n
-        for d, frontier in zip(range(k - 1), _bfs_frontiers(adj, s, allowed)):
-            for u in _bits(frontier):
-                dist[u] = d
+    with _step_cap(f"C{k}") as step:
+        for s in range(n):
+            allowed = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)  # vertices > s
+            # BFS distances from s inside allowed ∪ {s}; pruning reads only
+            # distances <= k - 2, so farther vertices keep k + 1
+            dist = [k + 1] * n
+            for d, frontier in zip(range(k - 1), _bfs_frontiers(adj, s, allowed)):
+                for u in _bits(frontier):
+                    dist[u] = d
 
-        def walk(u, used, length):
-            if steps() > cap:
-                raise ComplexityRefused(f"C{k} search exceeds the step cap {cap}")
-            if length == k - 1:
-                return bool(adj[u] >> s & 1)
-            rem_after = k - length - 1  # edges left after stepping; BFS dist is a lower bound
-            for w in _bits(adj[u] & allowed & ~used):
-                if dist[w] <= rem_after and walk(w, used | (1 << w), length + 1):
+            def walk(u, used, length):
+                step()
+                if length == k - 1:
+                    return bool(adj[u] >> s & 1)
+                rem_after = k - length - 1  # edges left after stepping; BFS dist is a lower bound
+                for w in _bits(adj[u] & allowed & ~used):
+                    if dist[w] <= rem_after and walk(w, used | (1 << w), length + 1):
+                        return True
+                return False
+
+            for v in _bits(adj[s] & allowed):
+                if walk(v, (1 << s) | (1 << v), 1):
                     return True
-            return False
-
-        for v in _bits(adj[s] & allowed):
-            if walk(v, (1 << s) | (1 << v), 1):
-                return True
     return False
 
 
@@ -303,7 +330,7 @@ def contains_complete_bipartite(g: Graph, t: int, s: int) -> bool:
     disjoint from the subset since loops are absent.  For t = 2 the
     verdict is whether some off-diagonal codegree reaches s, read from A·A
     (_codegree_reaches) instead of a loop over pairs, so it has C4's limits
-    only.  Other t refuse C(n, t) > BICLIQUE_SUBSET_CAP before any work.
+    only.  Other t refuse C(n, t) > SEARCH_STEP_CAP before any work.
     """
     if not 1 <= t <= s:
         raise PreconditionViolated("need 1 <= t <= s")
@@ -312,8 +339,8 @@ def contains_complete_bipartite(g: Graph, t: int, s: int) -> bool:
         return False
     if t == 2:
         return _codegree_reaches(g, s)
-    if comb(n, t) > BICLIQUE_SUBSET_CAP:
-        raise ComplexityRefused(f"C({n},{t}) exceeds cap {BICLIQUE_SUBSET_CAP}")
+    if comb(n, t) > SEARCH_STEP_CAP:
+        raise ComplexityRefused(f"C({n},{t}) exceeds cap {SEARCH_STEP_CAP}")
     for subset in combinations(range(n), t):
         common = (1 << n) - 1
         for v in subset:
@@ -328,12 +355,16 @@ def contains_complete_bipartite(g: Graph, t: int, s: int) -> bool:
 def max_clique_size(g: Graph, stop_at: int | None = None) -> int:
     """Maximum clique size via branch-and-bound with greedy-coloring pruning.
 
-    With stop_at, returns early once a clique of that size is found.
+    With stop_at, returns early once a clique of that size is found.  A
+    search that places more than SEARCH_STEP_CAP vertices in its colour
+    sorts, or recurses deeper than the recursion limit, is refused with
+    ComplexityRefused.
     """
     adj = g.adj
     best = 0
 
     def color_sort(cand):
+        step(cand.bit_count())
         order, colors = [], []
         color = 0
         rest = cand
@@ -368,7 +399,8 @@ def max_clique_size(g: Graph, stop_at: int | None = None) -> int:
 
     if g.n == 0:
         return 0
-    expand(0, (1 << g.n) - 1)
+    with _step_cap("clique") as step:
+        expand(0, (1 << g.n) - 1)
     return best
 
 
@@ -392,13 +424,13 @@ def bfs_layers(g: Graph, v: int) -> list[set[int]]:
 
 
 def _k_colorable(g: Graph, k: int) -> bool:
-    """Exact k-colorability by saturation-ordered backtracking."""
+    """Exact k-colorability by saturation-ordered backtracking, under _step_cap."""
     n, adj = g.n, g.adj
     colors = [-1] * n
     full_k = (1 << k) - 1
 
     def pick():
-        best_v, best_key = -1, (-1, -1)
+        best_v, best_key, scanned = -1, (-1, -1), n
         for v in range(n):
             if colors[v] != -1:
                 continue
@@ -406,9 +438,12 @@ def _k_colorable(g: Graph, k: int) -> bool:
             for u in _bits(adj[v]):
                 if colors[u] != -1:
                     sat |= 1 << colors[u]
-            key = (sat.bit_count(), adj[v].bit_count())
+            degree = adj[v].bit_count()
+            scanned += degree
+            key = (sat.bit_count(), degree)
             if key > best_key:
                 best_v, best_key = v, key
+        step(scanned)
         return best_v
 
     def bt(done, max_used):
@@ -431,14 +466,17 @@ def _k_colorable(g: Graph, k: int) -> bool:
             colors[v] = -1
         return False
 
-    return bt(0, 0)
+    with _step_cap(f"{k}-colouring") as step:
+        return bt(0, 0)
 
 
 def chromatic_number_exact(g: Graph) -> int:
     """Exact chromatic number: the first k from the clique bound up that
-    backtracking can colour with."""
-    if g.n > CHROMATIC_N_CAP:
-        raise ComplexityRefused(f"n = {g.n} exceeds chromatic cap {CHROMATIC_N_CAP}")
+    backtracking can colour with.
+
+    Bounded by work, not by n: the clique search and each colouring
+    search are refused with ComplexityRefused past SEARCH_STEP_CAP steps.
+    """
     if g.n == 0:
         return 0
     k = max_clique_size(g)

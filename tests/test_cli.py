@@ -19,7 +19,7 @@ import pytest
 import thetalab
 from thetalab.cli import main
 from thetalab.experiments import EXPERIMENT_NAMES, run_experiment, run_experiments
-from thetalab.graph import cycle_graph, from_edges, graph_from_json, graph_to_json
+from thetalab.graph import complete_graph, cycle_graph, from_edges, graph_from_json, graph_to_json
 from thetalab.ortho import basis_rep_from_clique_cover, rep_to_json, umbrella_rep
 from thetalab.constructions import clique_union, clique_union_parts
 
@@ -274,7 +274,7 @@ def test_bad_parameters_exit_two(capsys, argv, needle):
                  "C7 search exceeds the step cap 10000", id="cycle-search-above-the-step-cap"),
 ])
 def test_refused_inputs_exit_two(tmp_path, capsys, monkeypatch, args, needle):
-    monkeypatch.setattr(thetalab.graph, "CYCLE_STEP_CAP", 10**4)
+    monkeypatch.setattr(thetalab.graph, "SEARCH_STEP_CAP", 10**4)
     files = {"c5": write_graph(tmp_path / "c5.json", cycle_graph(5)), "rep": str(tmp_path / "rep.json")}
     files["k88"] = write_graph(tmp_path / "k88.json", from_edges(16, [(u, 8 + v) for u in range(8) for v in range(8)]))
     g = clique_union(9, 3)
@@ -289,6 +289,29 @@ def test_refused_inputs_exit_two(tmp_path, capsys, monkeypatch, args, needle):
     code, out, err = run(capsys, [a.format(**files) for a in args])
     assert code == 2 and out == ""
     assert err.startswith("error:") and needle in err and "Traceback" not in err
+
+
+def test_clique_search_above_the_step_cap_exits_two(tmp_path, capsys, monkeypatch):
+    # G(150, 0.9), one draw per pair in lexicographic order: the K60 search ran on with no cap
+    rng = np.random.default_rng(1)
+    g = from_edges(150, [(u, v) for u in range(150) for v in range(u + 1, 150) if rng.random() < 0.9])
+    monkeypatch.setattr(thetalab.graph, "SEARCH_STEP_CAP", 10**5)
+    code, out, err = run(capsys, ["check", "free", "--pattern", "K60", "--graph", write_graph(tmp_path / "g.json", g)])
+    assert (code, out) == (2, "")
+    assert err == "error: clique search exceeds the step cap 100000\n"
+
+
+@pytest.mark.parametrize("pattern, build, needle", [
+    pytest.param("C1200", cycle_graph, "C1200 search recurses past the recursion limit", id="C1200"),
+    pytest.param("K1100", complete_graph, "clique search recurses past the recursion limit", id="K1100"),
+])
+def test_search_deeper_than_the_recursion_limit_exits_two(tmp_path, pattern, build, needle):
+    """C1200 on C1200 and K1100 on K1100 ended in a RecursionError traceback with exit 1, the code for "pattern found"."""
+    write_graph(tmp_path / "g.json", build(int(pattern[1:])))
+    proc = subprocess.run([sys.executable, "-m", "thetalab.cli", "check", "free", "--pattern", pattern, "--graph", "g.json"],
+                          cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and needle in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("obj, needle", [
@@ -367,6 +390,21 @@ def test_trace_power_searches_each_sample_once(monkeypatch):
     monkeypatch.setattr(ortho, "contains_cycle", spy)  # the binding require_cycle_free reads
     assert run_experiment("trace-power").passed
     assert sorted(searched) == [3] * 50 + [4] * 20  # one search per sample, the certificate's
+
+
+def test_msr_cycle_searches_each_grid_point_once(monkeypatch):
+    from thetalab import graph
+
+    searched = []
+    real = graph.contains_cycle
+
+    def spy(g, k):
+        searched.append(k)
+        return real(g, k)
+
+    monkeypatch.setattr(graph, "contains_cycle", spy)  # the binding contains_pattern reads
+    assert not run_experiment("msr-cycle").passed  # criterion 7's known failure
+    assert sorted(searched) == [3] * 26 + [4] * 26 + [5] * 26  # one search per grid point, the certificate's
 
 
 def test_run_experiments_rejects_unknown():

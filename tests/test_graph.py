@@ -18,8 +18,8 @@ from thetalab.errors import (
     UnsupportedPattern,
 )
 from thetalab.graph import (
-    BICLIQUE_SUBSET_CAP,
     GRAPH_N_CAP,
+    SEARCH_STEP_CAP,
     Graph,
     bfs_layers,
     chromatic_number_exact,
@@ -175,7 +175,7 @@ def complete_bipartite(a, b):
 def test_contains_cycle_step_cap(monkeypatch):
     g = complete_bipartite(8, 8)  # no odd cycle; the C7 search takes 45,760 walk steps
     assert not contains_cycle(g, 7)
-    monkeypatch.setattr(graph_module, "CYCLE_STEP_CAP", 10**4)
+    monkeypatch.setattr(graph_module, "SEARCH_STEP_CAP", 10**4)
     with pytest.raises(ComplexityRefused, match="C7 search exceeds the step cap 10000"):
         contains_cycle(g, 7)
     assert contains_cycle(g, 6) and contains_cycle(cycle_graph(7), 7)  # found within the cap
@@ -213,14 +213,14 @@ def test_biclique_examples():
 def test_biclique_preconditions_and_cap(monkeypatch):
     with pytest.raises(PreconditionViolated):
         contains_complete_bipartite(cycle_graph(5), 3, 2)
-    monkeypatch.setattr(graph_module, "BICLIQUE_SUBSET_CAP", 10**5)
+    monkeypatch.setattr(graph_module, "SEARCH_STEP_CAP", 10**5)
     with pytest.raises(ComplexityRefused, match="C\\(60,5\\) exceeds cap 100000"):
         contains_complete_bipartite(complete_graph(60), 5, 5)
 
 
 def test_biclique_t2_has_no_subset_cap():
-    n = 4500  # C(n, 2) is above BICLIQUE_SUBSET_CAP
-    assert comb(n, 2) > BICLIQUE_SUBSET_CAP
+    n = 4500  # C(n, 2) is above SEARCH_STEP_CAP
+    assert comb(n, 2) > SEARCH_STEP_CAP
     g = from_edges(n, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
     assert contains_complete_bipartite(g, 2, 3)
     assert not contains_complete_bipartite(g, 2, 4)
@@ -228,8 +228,8 @@ def test_biclique_t2_has_no_subset_cap():
 
 def test_biclique_t3_above_the_subset_cap_is_refused():
     n = 400
-    assert comb(n, 3) > BICLIQUE_SUBSET_CAP
-    with pytest.raises(ComplexityRefused, match=f"C\\({n},3\\) exceeds cap {BICLIQUE_SUBSET_CAP}"):
+    assert comb(n, 3) > SEARCH_STEP_CAP
+    with pytest.raises(ComplexityRefused, match=f"C\\({n},3\\) exceeds cap {SEARCH_STEP_CAP}"):
         contains_complete_bipartite(empty_graph(n), 3, 3)
 
 
@@ -267,6 +267,15 @@ def test_clique_examples():
     assert not contains_clique(empty_graph(0), 1)
     with pytest.raises(PreconditionViolated):
         contains_clique(empty_graph(3), 0)
+
+
+def test_clique_search_step_cap(monkeypatch):
+    # G(150, 0.9): the K60 search places more than 10^7 vertices in its colour sorts
+    g = random_graph(150, 0.9, np.random.default_rng(1))
+    monkeypatch.setattr(graph_module, "SEARCH_STEP_CAP", 10**5)
+    with pytest.raises(ComplexityRefused, match="clique search exceeds the step cap 100000"):
+        contains_clique(g, 60)
+    assert contains_clique(complete_graph(40), 40)  # 820 placements, within the cap
 
 
 def test_max_clique_random_vs_brute():
@@ -343,9 +352,32 @@ def test_chromatic_random_vs_brute():
         assert chromatic_number_exact(g) == brute_chromatic(g)
 
 
-def test_chromatic_cap():
-    with pytest.raises(ComplexityRefused):
-        chromatic_number_exact(empty_graph(41))
+def mycielski(g):
+    """The Mycielski graph of g: chromatic number one more, clique number the same (if >= 2)."""
+    n = g.n
+    shadows = [(n + u, v) for u, v in g.edges()] + [(n + v, u) for u, v in g.edges()]
+    return from_edges(2 * n + 1, g.edges() + shadows + [(n + i, 2 * n) for i in range(n)])
+
+
+def test_chromatic_cap(monkeypatch):
+    # bounded by work, not by n: both were refused above 40 vertices
+    assert chromatic_number_exact(empty_graph(60)) == 1
+    assert chromatic_number_exact(complete_bipartite(30, 30)) == 2
+    g = mycielski(mycielski(cycle_graph(5)))  # 23 vertices, triangle-free, chromatic number 5
+    assert chromatic_number_exact(g) == 5  # its 4-colouring search scans 74,753 vertices and neighbours
+    monkeypatch.setattr(graph_module, "SEARCH_STEP_CAP", 10**4)
+    with pytest.raises(ComplexityRefused, match="4-colouring search exceeds the step cap 10000"):
+        graph_module._k_colorable(g, 4)
+    with pytest.raises(ComplexityRefused, match="step cap 10000"):
+        chromatic_number_exact(g)
+
+
+def test_searches_deeper_than_the_recursion_limit_are_refused():
+    # the clique search's case is the CLI's (test_cli); a RecursionError used to escape all three
+    with pytest.raises(ComplexityRefused, match="C1200 search recurses past the recursion limit"):
+        contains_cycle(cycle_graph(1200), 1200)
+    with pytest.raises(ComplexityRefused, match="1-colouring search recurses past the recursion limit"):
+        chromatic_number_exact(empty_graph(1100))  # one backtracking frame per vertex
 
 
 # ---------------------------------------------------------------------------
