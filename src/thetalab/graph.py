@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import functools
 import re
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
 from math import comb
@@ -33,8 +31,8 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-# steps one exact search may take (_step_cap says what a step is); the K_{t,s}
-# search with t >= 3 refuses more than this many t-subsets up front
+# steps one exact search may take (each search's docstring says what a step
+# is); the K_{t,s} search with t >= 3 refuses more than this many t-subsets up front
 SEARCH_STEP_CAP = 10**7
 # largest vertex count any graph is built with (refuse_above_vertex_cap): the
 # bitset rows alone take n^2/8 bytes, and Graph.packed holds them once more
@@ -65,30 +63,9 @@ def _bfs_frontiers(adj, v: int, allowed: int = -1):
         seen |= frontier
 
 
-@contextmanager
-def _step_cap(what: str):
-    """Count one exact search's steps under SEARCH_STEP_CAP.
-
-    The block gets step(k), which counts k steps and raises
-    ComplexityRefused once the search has taken more than the cap.  A step
-    is one call of the path walk (contains_cycle), one vertex placed by the
-    colour sort (max_clique_size), or one vertex or neighbour that the
-    colouring's pick scans (_k_colorable).  A RecursionError, from a search
-    deeper than Python's recursion limit, leaves the block as
-    ComplexityRefused too.
-    """
-    cap = left = SEARCH_STEP_CAP
-
-    def step(k=1):
-        nonlocal left
-        left -= k
-        if left < 0:
-            raise ComplexityRefused(f"{what} search exceeds the step cap {cap}")
-
-    try:
-        yield step
-    except RecursionError:
-        raise ComplexityRefused(f"{what} search recurses past the recursion limit {sys.getrecursionlimit()}") from None
+def _refuse_past_step_cap(what: str):
+    """Refuse an exact search that has taken more than SEARCH_STEP_CAP steps."""
+    raise ComplexityRefused(f"{what} search exceeds the step cap {SEARCH_STEP_CAP}")
 
 
 @dataclass(frozen=True)
@@ -237,8 +214,14 @@ def complement(g: Graph) -> Graph:
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
-    """Subgraph induced on the given vertices, relabeled 0..k-1 in sorted order."""
+    """Subgraph induced on the given vertices, relabeled 0..k-1 in sorted order.
+
+    A vertex outside [0, n) is refused with IndexOutOfRange.
+    """
     vs = sorted(set(vertices))
+    for v in vs[:1] + vs[-1:]:  # the least and the greatest
+        if not 0 <= v < g.n:
+            raise IndexOutOfRange(f"vertex {v} outside [0,{g.n})")
     pos = {v: i for i, v in enumerate(vs)}
     edges = [(pos[u], pos[v]) for u in vs for v in _bits(g.adj[u]) if v in pos and u < v]
     labels = tuple(g.labels[v] for v in vs) if g.labels is not None else None
@@ -283,12 +266,12 @@ def contains_cycle(g: Graph, k: int) -> bool:
     """True iff g contains a cycle of length exactly k as a subgraph.
 
     A 4-cycle is exactly two distinct vertices with >= 2 common neighbours,
-    so k = 4 is decided from codegrees (_codegree_reaches).  Other k use a
-    backtracking DFS over simple paths rooted at each cycle's minimum
-    vertex, pruned by BFS distance back to the root; a search of more than
-    SEARCH_STEP_CAP walk calls, or one deeper than the recursion limit, is
-    refused with ComplexityRefused.  A cycle longer than n does not fit,
-    so k > n is False without a search.
+    so k = 4 is decided from codegrees (_codegree_reaches).  Other k walk
+    the simple paths rooted at each cycle's minimum vertex, depth first on
+    an explicit stack, pruned by BFS distance back to the root; a walk that
+    enters more than SEARCH_STEP_CAP vertices is refused with
+    ComplexityRefused.  A cycle longer than n does not fit, so k > n is
+    False without a search.
     """
     if k < 3:
         raise PreconditionViolated("cycle length must be >= 3")
@@ -296,30 +279,37 @@ def contains_cycle(g: Graph, k: int) -> bool:
         return False
     if k == 4:
         return _codegree_reaches(g, 2)
-    n, adj = g.n, g.adj
-    with _step_cap(f"C{k}") as step:
-        for s in range(n):
-            allowed = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)  # vertices > s
-            # BFS distances from s inside allowed ∪ {s}; pruning reads only
-            # distances <= k - 2, so farther vertices keep k + 1
-            dist = [k + 1] * n
-            for d, frontier in zip(range(k - 1), _bfs_frontiers(adj, s, allowed)):
-                for u in _bits(frontier):
-                    dist[u] = d
-
-            def walk(u, used, length):
-                step()
-                if length == k - 1:
-                    return bool(adj[u] >> s & 1)
-                rem_after = k - length - 1  # edges left after stepping; BFS dist is a lower bound
-                for w in _bits(adj[u] & allowed & ~used):
-                    if dist[w] <= rem_after and walk(w, used | (1 << w), length + 1):
-                        return True
-                return False
-
-            for v in _bits(adj[s] & allowed):
-                if walk(v, (1 << s) | (1 << v), 1):
-                    return True
+    n, adj, cap = g.n, g.adj, SEARCH_STEP_CAP
+    steps = 0
+    for s in range(n):
+        allowed = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)  # vertices > s
+        # within[d]: the vertices of allowed ∪ {s} at BFS distance <= d from
+        # s; the pruning reads d <= k - 2 only
+        within, reach = [], 0
+        for _, frontier in zip(range(k - 1), _bfs_frontiers(adj, s, allowed)):
+            reach |= frontier
+            within.append(reach)
+        within += [reach] * (k - 1 - len(within))
+        used = [1 << s]  # used[i]: the path's first i + 1 vertices
+        todo = [adj[s] & allowed]  # todo[i]: the untried successors of the path's vertex i
+        while todo:
+            rest = todo[-1]
+            if not rest:
+                todo.pop()
+                used.pop()
+                continue
+            b = rest & -rest
+            todo[-1] = rest ^ b
+            steps += 1
+            if steps > cap:
+                _refuse_past_step_cap(f"C{k}")
+            w = b.bit_length() - 1
+            if len(todo) == k - 1:  # w ends a path of k - 1 edges, and the pruning kept it next to s
+                return True
+            u = used[-1] | b
+            used.append(u)
+            # w's successors need BFS distance <= the k - 1 - len(todo) edges left after them
+            todo.append(adj[w] & within[k - 1 - len(todo)] & ~u)
     return False
 
 
@@ -355,16 +345,15 @@ def contains_complete_bipartite(g: Graph, t: int, s: int) -> bool:
 def max_clique_size(g: Graph, stop_at: int | None = None) -> int:
     """Maximum clique size via branch-and-bound with greedy-coloring pruning.
 
-    With stop_at, returns early once a clique of that size is found.  A
-    search that places more than SEARCH_STEP_CAP vertices in its colour
-    sorts, or recurses deeper than the recursion limit, is refused with
-    ComplexityRefused.
+    The branches are expanded depth first on an explicit stack.  With
+    stop_at, returns early once a clique of that size is found.  A search
+    that places more than SEARCH_STEP_CAP vertices in its colour sorts is
+    refused with ComplexityRefused.
     """
-    adj = g.adj
-    best = 0
+    adj, cap = g.adj, SEARCH_STEP_CAP
+    best = steps = 0
 
     def color_sort(cand):
-        step(cand.bit_count())
         order, colors = [], []
         color = 0
         rest = cand
@@ -381,27 +370,31 @@ def max_clique_size(g: Graph, stop_at: int | None = None) -> int:
                 colors.append(color)
         return order, colors
 
-    def expand(r_size, cand):
-        nonlocal best
-        if cand == 0:
-            if r_size > best:
-                best = r_size
-            return
-        order, colors = color_sort(cand)
-        for i in range(len(order) - 1, -1, -1):
-            if stop_at is not None and best >= stop_at:
-                return
-            if r_size + colors[i] <= best:
-                return
-            v = order[i]
-            expand(r_size + 1, cand & adj[v])
-            cand &= ~(1 << v)
-
-    if g.n == 0:
-        return 0
-    with _step_cap("clique") as step:
-        expand(0, (1 << g.n) - 1)
-    return best
+    # one [order, colors, cand] frame per branch, the root's and one per clique
+    # vertex; order and colors shrink and cand drops each vertex tried
+    stack = []
+    cand = (1 << g.n) - 1
+    while True:
+        if cand:
+            steps += cand.bit_count()
+            if steps > cap:
+                _refuse_past_step_cap("clique")
+            stack.append([*color_sort(cand), cand])
+        else:
+            best = max(best, len(stack))
+        while stack:
+            frame = stack[-1]
+            order, colors, cand = frame
+            # a branch ends once stop_at is reached or its colour bound cannot beat best
+            if order and (stop_at is None or best < stop_at) and len(stack) - 1 + colors[-1] > best:
+                break
+            stack.pop()
+        else:
+            return best
+        v = order.pop()
+        colors.pop()
+        frame[2] = cand & ~(1 << v)
+        cand &= adj[v]
 
 
 def contains_clique(g: Graph, t: int) -> bool:
@@ -424,13 +417,15 @@ def bfs_layers(g: Graph, v: int) -> list[set[int]]:
 
 
 def _k_colorable(g: Graph, k: int) -> bool:
-    """Exact k-colorability by saturation-ordered backtracking, under _step_cap."""
-    n, adj = g.n, g.adj
+    """Exact k-colorability by saturation-ordered backtracking on an
+    explicit stack.  A search whose picks scan more than SEARCH_STEP_CAP
+    vertices and neighbours is refused with ComplexityRefused."""
+    n, adj, cap = g.n, g.adj, SEARCH_STEP_CAP
     colors = [-1] * n
-    full_k = (1 << k) - 1
+    steps = 0
 
     def pick():
-        best_v, best_key, scanned = -1, (-1, -1), n
+        best_v, best_sat, best_key, scanned = -1, 0, (-1, -1), n
         for v in range(n):
             if colors[v] != -1:
                 continue
@@ -442,32 +437,32 @@ def _k_colorable(g: Graph, k: int) -> bool:
             scanned += degree
             key = (sat.bit_count(), degree)
             if key > best_key:
-                best_v, best_key = v, key
-        step(scanned)
-        return best_v
+                best_v, best_sat, best_key = v, sat, key
+        return best_v, best_sat, scanned
 
-    def bt(done, max_used):
-        if done == n:
-            return True
-        v = pick()
-        sat = 0
-        for u in _bits(adj[v]):
-            if colors[u] != -1:
-                sat |= 1 << colors[u]
-        if sat == full_k:
-            return False
-        limit = min(k, max_used + 1)  # at most one brand-new color: breaks color symmetry
-        for c in range(limit):
-            if sat >> c & 1:
-                continue
-            colors[v] = c
-            if bt(done + 1, max(max_used, c + 1)):
-                return True
+    stack = []  # one [vertex, untried colours, colours used before it] frame per coloured vertex
+    used = 0
+    while len(stack) < n:
+        v, sat, scanned = pick()
+        steps += scanned
+        if steps > cap:
+            _refuse_past_step_cap(f"{k}-colouring")
+        # at most one brand-new colour: breaks colour symmetry
+        stack.append([v, ~sat & ((1 << min(k, used + 1)) - 1), used])
+        while stack:
+            frame = stack[-1]
+            v, untried, used = frame
+            if untried:
+                break
             colors[v] = -1
-        return False
-
-    with _step_cap(f"{k}-colouring") as step:
-        return bt(0, 0)
+            stack.pop()
+        else:
+            return False
+        b = untried & -untried
+        frame[1] = untried ^ b
+        colors[v] = c = b.bit_length() - 1
+        used = max(used, c + 1)
+    return True
 
 
 def chromatic_number_exact(g: Graph) -> int:

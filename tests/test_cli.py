@@ -301,17 +301,17 @@ def test_clique_search_above_the_step_cap_exits_two(tmp_path, capsys, monkeypatc
     assert err == "error: clique search exceeds the step cap 100000\n"
 
 
-@pytest.mark.parametrize("pattern, build, needle", [
-    pytest.param("C1200", cycle_graph, "C1200 search recurses past the recursion limit", id="C1200"),
-    pytest.param("K1100", complete_graph, "clique search recurses past the recursion limit", id="K1100"),
+@pytest.mark.parametrize("pattern, build", [
+    pytest.param("C1200", cycle_graph, id="C1200"),
+    pytest.param("K1100", complete_graph, id="K1100"),
 ])
-def test_search_deeper_than_the_recursion_limit_exits_two(tmp_path, pattern, build, needle):
-    """C1200 on C1200 and K1100 on K1100 ended in a RecursionError traceback with exit 1, the code for "pattern found"."""
+def test_search_deeper_than_the_recursion_limit_exits_one(tmp_path, pattern, build):
+    """C1200 on C1200 and K1100 on K1100 are found, though each search is deeper than Python's recursion limit."""
     write_graph(tmp_path / "g.json", build(int(pattern[1:])))
     proc = subprocess.run([sys.executable, "-m", "thetalab.cli", "check", "free", "--pattern", pattern, "--graph", "g.json"],
                           cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error:") and needle in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    assert "free: false" in proc.stdout and "Traceback" not in proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("obj, needle", [

@@ -126,6 +126,13 @@ def test_induced_subgraph():
     assert sub.edge_count() == len([e for e in g.edges() if e[0] < 5 and e[1] < 5]) == 5
 
 
+@pytest.mark.parametrize("vertices, bad", [([-1, 2], -1), ([0, 7], 7), ([4], 4)])
+def test_induced_subgraph_refuses_vertices_outside_the_graph(vertices, bad):
+    # -1 would read vertex 3's row by negative indexing, and 7 has no row
+    with pytest.raises(IndexOutOfRange, match=f"vertex {bad} outside \\[0,4\\)"):
+        induced_subgraph(from_edges(4, [(0, 1), (1, 2), (2, 3)]), vertices)
+
+
 # ---------------------------------------------------------------------------
 # cycle detection vs brute force
 # ---------------------------------------------------------------------------
@@ -179,6 +186,13 @@ def test_contains_cycle_step_cap(monkeypatch):
     with pytest.raises(ComplexityRefused, match="C7 search exceeds the step cap 10000"):
         contains_cycle(g, 7)
     assert contains_cycle(g, 6) and contains_cycle(cycle_graph(7), 7)  # found within the cap
+    # each search answers with the cap at its own count: C7's walk enters 6 vertices
+    for h, count, found in ((g, 45_760, False), (cycle_graph(7), 6, True)):
+        monkeypatch.setattr(graph_module, "SEARCH_STEP_CAP", count)
+        assert contains_cycle(h, 7) == found
+        monkeypatch.setattr(graph_module, "SEARCH_STEP_CAP", count - 1)
+        with pytest.raises(ComplexityRefused, match=f"C7 search exceeds the step cap {count - 1}"):
+            contains_cycle(h, 7)
 
 
 def test_contains_cycle_exhaustive_n5():
@@ -276,6 +290,11 @@ def test_clique_search_step_cap(monkeypatch):
     with pytest.raises(ComplexityRefused, match="clique search exceeds the step cap 100000"):
         contains_clique(g, 60)
     assert contains_clique(complete_graph(40), 40)  # 820 placements, within the cap
+    monkeypatch.setattr(graph_module, "SEARCH_STEP_CAP", 820)  # the search's own count answers
+    assert contains_clique(complete_graph(40), 40)
+    monkeypatch.setattr(graph_module, "SEARCH_STEP_CAP", 819)
+    with pytest.raises(ComplexityRefused, match="clique search exceeds the step cap 819"):
+        contains_clique(complete_graph(40), 40)
 
 
 def test_max_clique_random_vs_brute():
@@ -370,14 +389,19 @@ def test_chromatic_cap(monkeypatch):
         graph_module._k_colorable(g, 4)
     with pytest.raises(ComplexityRefused, match="step cap 10000"):
         chromatic_number_exact(g)
+    monkeypatch.setattr(graph_module, "SEARCH_STEP_CAP", 74_753)  # the search's own count answers
+    assert not graph_module._k_colorable(g, 4)
+    monkeypatch.setattr(graph_module, "SEARCH_STEP_CAP", 74_752)
+    with pytest.raises(ComplexityRefused, match="4-colouring search exceeds the step cap 74752"):
+        graph_module._k_colorable(g, 4)
 
 
-def test_searches_deeper_than_the_recursion_limit_are_refused():
-    # the clique search's case is the CLI's (test_cli); a RecursionError used to escape all three
-    with pytest.raises(ComplexityRefused, match="C1200 search recurses past the recursion limit"):
-        contains_cycle(cycle_graph(1200), 1200)
-    with pytest.raises(ComplexityRefused, match="1-colouring search recurses past the recursion limit"):
-        chromatic_number_exact(empty_graph(1100))  # one backtracking frame per vertex
+def test_searches_deeper_than_the_recursion_limit_answer():
+    # each search is deeper than Python's recursion limit, with little work per level
+    assert contains_cycle(cycle_graph(1200), 1200)
+    assert chromatic_number_exact(empty_graph(1100)) == 1
+    assert contains_clique(complete_graph(1100), 1100)
+    assert chromatic_number_exact(from_edges(1500, [(i, i + 1) for i in range(1499)])) == 2
 
 
 # ---------------------------------------------------------------------------
