@@ -10,9 +10,11 @@ element and, for the scaling classes, with the coset minima, computed from
 discrete logs gathered once per graph.  Each entry then costs one add of
 two additive codes and one gather of a table that marks the code sums in
 the subgroup (scaling classes), or one comparison of x·x' + y·y' with
--z·z' (polarity).  graph.from_row_blocks packs the blocks into the graph's
-packed rows as they come.  Both check the vertex count against the graph
-vertex cap before building the field.
+-z·z' (polarity).  Each block is allocated once, and each group of its
+columns is written in place through a reshaped view (out=), so no block is
+concatenated or copied.  graph.from_row_blocks packs the blocks into the
+graph's packed rows as they come.  Both check the vertex count against the
+graph vertex cap before building the field.
 
 Disjoint unions of equal cliques need no field and no numpy, so they live
 in graph (graph.clique_union, graph.clique_union_parts).  This module still
@@ -32,9 +34,9 @@ from .ffield import FieldElement, field_from_order, field_tables, order_split, r
 from .graph import Graph, adjacency_rows, from_row_blocks, refuse_above_vertex_cap
 from .graph import clique_union, clique_union_parts  # bound here too: see the module docstring
 
-# entries per block of rows of a construction's adjacency mask: 64-128 KB
-# per temporary
-BLOCK_ENTRIES = 1 << 14
+# entries per block of rows of a construction's adjacency mask: 256-512 KB
+# per int64 temporary, and every Füredi graph with n <= 256 in one block
+BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -70,31 +72,28 @@ class FurediGraph:
 
 
 @functools.lru_cache(maxsize=128)
-def _index_names(q: int) -> np.ndarray:
+def _index_names(q: int) -> tuple[str, ...]:
     """The element indices 0..q-1 as decimal strings, the parts of a label."""
-    names = np.array([str(i) for i in range(q)], dtype=object)
-    names.flags.writeable = False
-    return names
+    return tuple(map(str, range(q)))
 
 
 def _relation_graph(n: int, block_mask, labels: tuple[str, ...]) -> tuple[Graph, tuple[int, ...]]:
     """The simple graph of a symmetric relation, plus the vertices related to themselves.
 
-    block_mask(s, e) returns the (e - s, n) boolean mask of rows s..e-1,
-    diagonal included, for blocks of about BLOCK_ENTRIES entries; the
-    diagonal is reported as loops and cleared.
+    block_mask(s, e) returns the (e - s, n) C-ordered boolean mask of rows
+    s..e-1, diagonal included, for blocks of about BLOCK_ENTRIES entries;
+    the diagonal is reported as loops and cleared.  Entry (i, s + i) of a
+    block is its flat entry s + i(n + 1), so the diagonal is a strided view.
     """
     loops: list[int] = []
     step = max(1, BLOCK_ENTRIES // n)
 
     def blocks():
         for s in range(0, n, step):
-            e = min(s + step, n)
-            mask = block_mask(s, e)
-            local = np.arange(e - s)
-            diag = mask[local, local + s]
-            loops.extend((local[diag] + s).tolist())
-            mask[local, local + s] = False
+            mask = block_mask(s, min(s + step, n))
+            diag = mask.ravel()[s :: n + 1]
+            loops.extend((np.flatnonzero(diag) + s).tolist())
+            diag[:] = False
             yield mask
 
     g = from_row_blocks(n, blocks(), labels)
@@ -130,9 +129,13 @@ def furedi_graph(q: int, t: int) -> FurediGraph:
     # smallest index of each coset of H, ascending: coset r is column r of
     # the antilog period read as t rows of (q - 1)/t
     coset_min = np.sort(tab.antilog[: q - 1].reshape(t, -1).min(axis=0))
-    a = np.concatenate([np.zeros_like(coset_min), np.repeat(coset_min, q)])
-    b = np.concatenate([coset_min, np.tile(np.arange(q), len(coset_min))])
-    assert len(a) == n
+    k = len(coset_min)
+    assert k * (q + 1) == n
+    a = np.zeros(n, dtype=np.intp)
+    b = np.empty(n, dtype=np.intp)
+    a[k:].reshape(k, q)[:] = coset_min[:, None]
+    b[:k] = coset_min
+    b[k:].reshape(k, q)[:] = np.arange(q)
 
     # The columns are (0, m) for each coset minimum m, then (m, b') for each
     # m and every element b', so a block needs only its rows' products with
@@ -144,14 +147,15 @@ def furedi_graph(q: int, t: int) -> FurediGraph:
 
     def block_mask(s, e):
         la, lb = log_a[s:e, None], log_b[s:e, None]
-        head = in_sub[tab.antilog[lb + log_min]]  # columns (0, m): a·0 + b·m
+        mask = np.empty((e - s, n), dtype=bool)
+        np.take(in_sub, tab.antilog[lb + log_min], out=mask[:, :k])  # columns (0, m): a·0 + b·m
         am = coded_antilog[la + log_min]
         bb = coded_antilog[lb + tab.log]
-        grid = sum_in_sub(am[:, :, None], bb[:, None, :])
-        return np.concatenate([head, grid.reshape(e - s, -1)], axis=1)
+        sum_in_sub(am[:, :, None], bb[:, None, :], out=mask[:, k:].reshape(e - s, k, q))
+        return mask
 
-    names = _index_names(q)
-    labels = tuple(map(":".join, zip(names[a].tolist(), names[b].tolist())))
+    names, minima = _index_names(q), coset_min.tolist()
+    labels = (*["0:" + names[c] for c in minima], *[head + name for head in [f"{c}:" for c in minima] for name in names])
     g, loops = _relation_graph(n, block_mask, labels)
     class_indices = (tuple(a.tolist()), tuple(b.tolist()))
     return FurediGraph(g, q, t, class_indices, tuple(sub.tolist()), loops)
@@ -205,9 +209,15 @@ def polarity_graph_with_loops(q: int) -> tuple[Graph, tuple[int, ...]]:
     refuse_above_vertex_cap(n)
     tab = field_tables(field_from_order(q))
     span = np.arange(q)
-    x = np.concatenate([np.ones(q * q, dtype=np.int64), np.zeros(q + 1, dtype=np.int64)])
-    y = np.concatenate([np.repeat(span, q), np.ones(q, dtype=np.int64), [0]])
-    z = np.concatenate([np.tile(span, q), span, [1]])
+    x = np.zeros(n, dtype=np.intp)
+    y = np.zeros(n, dtype=np.intp)
+    z = np.empty(n, dtype=np.intp)
+    x[: q * q] = 1
+    y[: q * q].reshape(q, q)[:] = span[:, None]
+    y[q * q : n - 1] = 1
+    z[: q * q].reshape(q, q)[:] = span
+    z[q * q : n - 1] = span
+    z[n - 1] = 1
 
     # The columns are (1, y', z') for every y' and z', then (0, 1, z'), then
     # (0, 0, 1).  A dot product vanishes iff x·x' + y·y' == -z·z', so a
@@ -216,13 +226,17 @@ def polarity_graph_with_loops(q: int) -> tuple[Graph, tuple[int, ...]]:
     log_y, log_neg_z = tab.log[y], tab.log[neg_z]
 
     def block_mask(s, e):
+        mask = np.empty((e - s, n), dtype=bool)
         xy = tab.add(x[s:e, None], tab.antilog[log_y[s:e, None] + tab.log])
         neg_zz = tab.antilog[log_neg_z[s:e, None] + tab.log]
-        grid = xy[:, :, None] == neg_zz[:, None, :]
-        return np.concatenate([grid.reshape(e - s, -1), neg_zz == y[s:e, None], z[s:e, None] == 0], axis=1)
+        np.equal(xy[:, :, None], neg_zz[:, None, :], out=mask[:, : q * q].reshape(e - s, q, q))
+        np.equal(neg_zz, y[s:e, None], out=mask[:, q * q : n - 1])
+        np.equal(z[s:e], 0, out=mask[:, n - 1])
+        return mask
 
     names = _index_names(q)
-    labels = tuple(map(":".join, zip(names[x].tolist(), names[y].tolist(), names[z].tolist())))
+    labels = (*[head + name for head in [f"1:{y}:" for y in names] for name in names],
+              *["0:1:" + name for name in names], "0:0:1")
     return _relation_graph(n, block_mask, labels)
 
 

@@ -351,8 +351,14 @@ class SumTest:
     def encode(self, a) -> np.ndarray:
         return self.tab.code[a]
 
-    def __call__(self, x, y) -> np.ndarray:
-        return self.hit[self.tab._code_sum(x, y)]
+    def __call__(self, x, y, out=None) -> np.ndarray:
+        """The boolean test of every code pair x, y (broadcast together).
+
+        With out, a boolean array of the broadcast shape (a view into a
+        larger block, say), the result is gathered into it and out is
+        returned.
+        """
+        return np.take(self.hit, self.tab._code_sum(x, y), out=out)
 
 
 @functools.lru_cache(maxsize=128)

@@ -254,9 +254,9 @@ def _codegree_reaches(g: Graph, s: int) -> bool:
         left = tile(i)
         for j in range(i, n, TILE_ROWS):
             right = left if j == i else tile(j)
-            common = left @ right.T
+            common = left @ right.T  # a fresh C-ordered array, so ravel() is a view
             if j == i:
-                np.fill_diagonal(common, 0.0)
+                common.ravel()[:: len(left) + 1] = 0.0
             if common.max() >= s:
                 return True
     return False
@@ -317,15 +317,17 @@ def contains_complete_bipartite(g: Graph, t: int, s: int) -> bool:
     """True iff some t-subset has >= s common neighbors (a K_{t,s} subgraph).
 
     Enumerates the smaller side t; common neighbors are automatically
-    disjoint from the subset since loops are absent.  For t = 2 the
-    verdict is whether some off-diagonal codegree reaches s, read from A·A
-    (_codegree_reaches) instead of a loop over pairs, so it has C4's limits
-    only.  Other t refuse C(n, t) > SEARCH_STEP_CAP before any work.
+    disjoint from the subset since loops are absent.  A K_{t,s} has t + s
+    vertices, so t + s > n is False without a search, as k > n is for
+    contains_cycle.  For t = 2 the verdict is whether some off-diagonal
+    codegree reaches s, read from A·A (_codegree_reaches) instead of a loop
+    over pairs, so it has C4's limits only.  Other t refuse
+    C(n, t) > SEARCH_STEP_CAP before any work.
     """
     if not 1 <= t <= s:
         raise PreconditionViolated("need 1 <= t <= s")
     n, adj = g.n, g.adj
-    if t > n:
+    if t + s > n:
         return False
     if t == 2:
         return _codegree_reaches(g, s)

@@ -117,6 +117,9 @@ def test_check_free_exit_codes(tmp_path, capsys):
     assert code == 2 and "error" in err
     code, out, err = run(capsys, ["check", "free", "--pattern", "C1_0", "--graph", path])
     assert code == 2 and out == "" and "unrecognized pattern 'C1_0'" in err
+    # K3,398 has 401 vertices, so 400 isolated vertices are free of it without the C(400,3) search
+    path = write_graph(tmp_path / "e400.json", from_edges(400, []))
+    assert run(capsys, ["check", "free", "--pattern", "K3,398", "--graph", path]) == (0, "free: true\n", "")
 
 
 def test_rep_validate_and_gram(tmp_path, capsys):
@@ -549,6 +552,17 @@ def test_cli_mix_matches_bench_references(tmp_path, capsys, monkeypatch):
         code = main(command.split())
         out = capsys.readouterr().out.encode()
         assert (code, workloads.stdout_digest(out)) == (refs[command]["exit"], refs[command]["stdout_sha256"]), command
+
+
+def test_construct_search_matches_bench_references(monkeypatch):
+    """Every construct-search op, run in process, passes the check against bench/references.json:
+    same edges, labels, loops and verdict for all 136 Füredi and polarity graphs."""
+    _load_bench_module("tracer", monkeypatch)
+    workloads = _load_bench_module("workloads", monkeypatch)
+    ops = workloads.construct_search(1, workloads.load_references(), False, None).ops
+    assert len(ops) == 136
+    for op in ops:
+        assert op.check(op.run()), op.id
 
 
 # run in a fresh process: which thetalab modules are registered, which have run, and whether numpy was imported

@@ -247,6 +247,16 @@ def test_biclique_t3_above_the_subset_cap_is_refused():
         contains_complete_bipartite(empty_graph(n), 3, 3)
 
 
+def test_biclique_on_fewer_than_t_plus_s_vertices_is_false_without_a_search():
+    # C(400, 3) is above the subset cap, but a K_{3,398} needs 401 vertices
+    assert not contains_complete_bipartite(empty_graph(400), 3, 398)
+    for n in (4, 12, 40):
+        g = complete_graph(n)  # every pair has n - 2 common neighbours, one short of a K_{2,n-1}
+        assert not contains_complete_bipartite(g, 2, n - 1)
+        assert "packed" not in vars(g)  # no row was unpacked
+        assert contains_complete_bipartite(g, 2, n - 2)
+
+
 def brute_has_biclique(g, t, s):
     for left in combinations(range(g.n), t):
         common = [v for v in range(g.n) if all(g.has_edge(u, v) for u in left)]

@@ -633,9 +633,11 @@ def test_c4_free_graph_rule_matches_whole_graph_search(seed):
     assert _cycle_free_graph(n, 4, np.random.default_rng(seed)) == cycle_free_graph_rebuild(n, 4, np.random.default_rng(seed))
 
 
-# plus furedi(q, q - 1) on the extension fields with odd p above n = 120
+# plus furedi(q, q - 1) on the extension fields with odd p above n = 120, and
+# furedi(17, 1) (n = 288), built in two blocks of the default BLOCK_ENTRIES
+# with 4 of its 16 loops in the second
 FUREDI_CASES = [(q, t) for q in _prime_powers(120) for t in range(1, q)
-                if (q - 1) % t == 0 and (q * q - 1) // t <= 120] + [(121, 120), (125, 124), (169, 168)]
+                if (q - 1) % t == 0 and (q * q - 1) // t <= 120] + [(121, 120), (125, 124), (169, 168), (17, 1)]
 
 
 @pytest.mark.parametrize("q, t", FUREDI_CASES)
@@ -644,7 +646,8 @@ def test_furedi_graph_matches_loop(q, t):
     assert (fg.graph, fg.loops_removed, fg.classes, fg.scaling_subgroup) == furedi_graph_loop(q, t)
 
 
-@pytest.mark.parametrize("q", _prime_powers(11))
+# plus polarity(17) (n = 307): two default blocks, 6 of its 18 loops in the second
+@pytest.mark.parametrize("q", [*_prime_powers(11), 17])
 def test_polarity_graph_matches_loop(q):
     assert polarity_graph_with_loops(q) == polarity_graph_loop(q)
 
