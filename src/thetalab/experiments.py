@@ -368,139 +368,118 @@ def _run_claim1_sandwich(seed: int):
 
 
 # layer coloring: exhaustive labeled sweep over the 5-cycle-free graphs on
-# <= 7 vertices, grown one vertex at a time, as array passes over the edge
-# masks; each layer's edge mask is looked up in a table of the 3-colourable
-# edge masks
+# <= 7 vertices, as array passes over edge masks.  Pair (u, v), u < v, of K7 is
+# bit v(v-1)/2 + u, so a graph on n vertices is a 7-vertex mask below
+# 2^C(n,2) whose vertices n..6 are isolated and have empty BFS layers.  Each
+# layer's edge mask is looked up in a table of the 3-colourable edge masks.
+
+LAYER_BLOCK = 1 << 15  # graphs per pass of the layer check
 
 
-def _edge_positions(n: int):
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
-def _pairs_inside(n: int) -> np.ndarray:
-    """Per vertex set S (a bitmask over n vertices), the edge mask of the pairs inside S."""
+def _pairs_inside() -> np.ndarray:
+    """Per vertex set S (a bitmask over 7 vertices), the edge mask of the pairs inside S.  With v
+    the top vertex and L = S - v, those are the pairs inside L and the pairs (u, v), L << v(v-1)/2."""
     import numpy as np
 
-    sets = np.arange(1 << n)
-    inside = np.zeros(1 << n, dtype=np.uint32)
-    for k, (u, v) in enumerate(_edge_positions(n)):
-        pair = (1 << u) | (1 << v)
-        inside[(sets & pair) == pair] |= 1 << k
+    inside = np.zeros(1, dtype=np.uint32)
+    for v in range(7):
+        inside = np.concatenate([inside, inside | np.arange(1 << v, dtype=np.uint32) << v * (v - 1) // 2])
     return inside
 
 
-def _grow_c5_free_masks(n_max: int):
-    """Yield, for n = 1..n_max, the ascending uint32 edge masks (bit k = k-th pair of
-    _edge_positions(n)) of the 5-cycle-free graphs on n vertices; n_max <= 8.
+def _grow_c5_free_masks() -> np.ndarray:
+    """The ascending edge masks of the 5-cycle-free graphs on 7 vertices.
 
-    Deleting a vertex keeps a graph 5-cycle-free, so each graph on n vertices is one on
-    n - 1 plus a new vertex x.  A 5-cycle through x is x-a-b-c-d-x, so x may join any
-    neighbour set S that holds no two ends a, d of a 3-edge path a-b-c-d.
+    Deleting a vertex keeps a graph 5-cycle-free, so each graph on x + 1 vertices is one on x
+    plus vertex x joined to a set S, the edges S << x(x-1)/2 above the old ones.  A 5-cycle
+    through x is x-a-b-c-d-x, so S may hold no two ends a, d of a 3-edge path a-b-c-d.
     """
     import numpy as np
 
+    inside = _pairs_inside()  # inside[{u, v}] is the bit of pair (u, v)
     free = np.zeros(1, dtype=np.uint32)
-    yield free
-    for n in range(2, n_max + 1):
-        x = n - 1
-        old = _edge_positions(x)
-        bit = {p: k for k, p in enumerate(old)}
-        pos = {p: k for k, p in enumerate(_edge_positions(n))}
+    for x in range(1, 7):
         ends = np.zeros(len(free), dtype=np.uint32)  # pairs {a, d} that a 3-edge path joins
-        for a, d in old:
+        for a, d in itertools.combinations(range(x), 2):
             joined = np.zeros(len(free), dtype=bool)
             for b, c in itertools.permutations([v for v in range(x) if v not in (a, d)], 2):
-                path = np.uint32(sum(1 << bit[min(e), max(e)] for e in ((a, b), (b, c), (c, d))))
+                path = inside[1 << a | 1 << b] | inside[1 << b | 1 << c] | inside[1 << c | 1 << d]
                 joined |= (free & path) == path
-            ends |= joined.astype(np.uint32) << bit[a, d]
-        grown = np.zeros(len(free), dtype=np.uint32)  # the survivors' bits at their n-vertex positions
-        for k, p in enumerate(old):
-            grown |= ((free >> k) & 1) << pos[p]
-        star = np.array([sum(1 << pos[u, x] for u in range(x) if s >> u & 1) for s in range(1 << x)],
-                        dtype=np.uint32)  # the edges from x to each S
-        inside = _pairs_inside(x)
-        free = np.concatenate([grown[(ends & inside[s]) == 0] | star[s] for s in range(1 << x)])
-        free.sort()
-        yield free
+            ends |= joined.astype(np.uint32) * inside[1 << a | 1 << d]
+        free = np.concatenate([free[(ends & inside[s]) == 0] | np.uint32(s << x * (x - 1) // 2)
+                               for s in range(1 << x)])
+    return free
 
 
-def _mask_graph(n: int, mask: int) -> graph.Graph:
-    return graph.from_edges(n, [p for k, p in enumerate(_edge_positions(n)) if mask >> k & 1])
+def _three_colorable_table() -> np.ndarray:
+    """Bit m of the result (bit m % 8 of byte m // 8; 2^21 bits = 256 KB) is set iff edge mask m
+    is 3-colourable.
 
-
-def _layer_edge_masks(n: int, graphs: np.ndarray):
-    """Per root, the edge masks induced by BFS layers A_1 and A_2 of every graph."""
-    import numpy as np
-
-    nbr = np.zeros((n, len(graphs)), dtype=np.uint8)
-    inside = _pairs_inside(n)
-    for k, (u, v) in enumerate(_edge_positions(n)):
-        bit = ((graphs >> k) & 1).astype(np.uint8)
-        nbr[u] |= bit << v
-        nbr[v] |= bit << u
-    for root in range(n):
-        a1 = nbr[root]
-        a2 = np.zeros_like(a1)
-        for v in range(n):
-            a2 |= nbr[v] * ((a1 >> v) & 1)
-        a2 &= ~(a1 | np.uint8(1 << root))
-        yield graphs & inside[a1]
-        yield graphs & inside[a2]
-
-
-def _three_colorable_table(n: int) -> np.ndarray:
-    """Bit m of the result (bit m % 8 of byte m // 8) is set iff the graph with edge mask m
-    (bit k = k-th pair of _edge_positions(n)) is 3-colourable.
-
-    A colouring c is proper for exactly the edge masks inside the pairs it gives two
-    different colours, the complement of its monochromatic pairs.  Those complements,
-    over the 3^(n-1) colourings that give vertex 0 the first colour, are marked, and the
-    marks are closed under taking subsets one edge bit at a time: bits k < 3 within each
-    byte, higher bits across bytes.  Packed, n = 7 takes 2^21 bits = 256 KB.
+    A colouring is proper for exactly the subsets of the pairs outside its colour classes.
+    Those complements, over the 3^6 colourings that give vertex 0 the first colour, are
+    marked and closed under subsets one edge bit at a time: bits k < 3 within each byte,
+    higher bits across bytes.
     """
     import numpy as np
 
-    edges = _edge_positions(n)
-    full = (1 << len(edges)) - 1
-    colours = np.array([(0, *c) for c in itertools.product(range(3), repeat=n - 1)], dtype=np.uint8)
-    proper = np.full(len(colours), full, dtype=np.uint32)
-    for k, (u, v) in enumerate(edges):
-        proper ^= (colours[:, u] == colours[:, v]).astype(np.uint32) << k
-    table = np.zeros(max(1, (full + 1) // 8), dtype=np.uint8)
+    inside = _pairs_inside()
+    colours = np.array([(0, *c) for c in itertools.product(range(3), repeat=6)])
+    proper = np.uint32((1 << 21) - 1)
+    for k in range(3):
+        proper ^= inside[(colours == k) @ (1 << np.arange(7))]  # drop the pairs inside colour class k
+    table = np.zeros(1 << 18, dtype=np.uint8)
     np.bitwise_or.at(table, proper >> 3, (np.uint32(1) << (proper & 7)).astype(np.uint8))
-    for k, upper in enumerate((0xAA, 0xCC, 0xF0)[: len(edges)]):
+    for k, upper in enumerate((0xAA, 0xCC, 0xF0)):
         table |= (table & upper) >> (1 << k)
-    for k in range(3, len(edges)):
+    for k in range(3, 21):
         halves = table.reshape(-1, 2, 1 << (k - 3))
         halves[:, 0] |= halves[:, 1]
     return table
 
 
-def _layers_3_colorable(n: int, graphs: np.ndarray) -> np.ndarray:
-    """Per graph: whether every BFS layer A_i, i <= 2, of every root is 3-colourable."""
+def _layers_3_colorable(graphs: np.ndarray) -> np.ndarray:
+    """Per 7-vertex edge mask: whether every BFS layer A_i, i <= 2, of every root is
+    3-colourable, checked LAYER_BLOCK graphs at a time."""
     import numpy as np
 
-    table = _three_colorable_table(n)
+    inside = _pairs_inside()
+    table = _three_colorable_table()
     ok = np.ones(len(graphs), dtype=bool)
-    for m in _layer_edge_masks(n, graphs):
-        ok &= ((table[m >> 3] >> (m & 7)) & 1).astype(bool)
+    for start in range(0, len(graphs), LAYER_BLOCK):
+        block = graphs[start : start + LAYER_BLOCK]
+        nbr = np.zeros((7, len(block)), dtype=np.uint8)  # bit u of nbr[v]: u and v are adjacent
+        for k, (u, v) in enumerate((u, v) for v in range(7) for u in range(v)):
+            bit = ((block >> k) & 1).astype(np.uint8)
+            nbr[u] |= bit << v
+            nbr[v] |= bit << u
+        for root, a1 in enumerate(nbr):  # a1 and a2 are the vertex sets of layers A_1 and A_2
+            a2 = np.bitwise_or.reduce([nbr[v] * ((a1 >> v) & 1) for v in range(7)]) & ~(a1 | np.uint8(1 << root))
+            for layer in (a1, a2):
+                m = block & inside[layer]
+                ok[start : start + LAYER_BLOCK] &= ((table[m >> 3] >> (m & 7)) & 1).astype(bool)
     return ok
 
 
 def _run_layer_coloring(seed: int):
+    import numpy as np
+
+    free = _grow_c5_free_masks()
+    ok = _layers_3_colorable(free)
     checks = []
     cross_agree = cross_total = 0
-    for n, free in enumerate(_grow_c5_free_masks(7), start=1):
-        ok = _layers_3_colorable(n, free)
-        violations = int((~ok).sum())
-        for idx in range(0, len(free), 20000):  # spot-check the sweep against the library op
+    for n in range(1, 8):
+        count = int(np.searchsorted(free, 1 << n * (n - 1) // 2))  # the graphs on n vertices
+        violations = count - int(np.count_nonzero(ok[:count]))
+        for idx in range(0, count, 20000):  # spot-check the sweep against the library op
+            m = int(free[idx])
+            g = graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if m >> (v * (v - 1) // 2 + u) & 1])
             cross_total += 1
-            cross_agree += graph.layer_chromatic_check(_mask_graph(n, int(free[idx])), 5).ok == bool(ok[idx])
+            cross_agree += graph.layer_chromatic_check(g, 5).ok == bool(ok[idx])
         checks.append(_chk(
             "layer_chromatic_check",
             f"chi(layer) <= 3 for every BFS layer A_i, i <= 2, of every 5-cycle-free graph on {n} vertices",
-            "0 violations", f"0 violations in {len(free)} graphs" if violations == 0
-            else f"{violations} violations in {len(free)} graphs", 0.0, violations == 0))
+            "0 violations", f"0 violations in {count} graphs" if violations == 0
+            else f"{violations} violations in {count} graphs", 0.0, violations == 0))
     checks.append(_chk(
         "layer_chromatic_check", "vectorized sweep agrees with the per-graph operation on a sample",
         f"{cross_total}/{cross_total}", f"{cross_agree}/{cross_total}", 0.0,

@@ -198,8 +198,11 @@ def rep_to_json(rep: OrthoRep) -> dict:
 
 def rep_from_json(obj: dict) -> OrthoRep:
     g = graph_from_json(obj["graph"])
-    v = np.asarray([[json_number(x, "vector entry") for x in row] for row in obj["vectors"]], dtype=np.float64).T
-    return OrthoRep(json_int(obj["d"], "d"), v, g)
+    d = json_int(obj["d"], "d")
+    rows = [[json_number(x, "vector entry") for x in row] for row in obj["vectors"]]
+    # an empty row list is the 0 x d array that rep_to_json wrote for n = 0; ragged rows are refused
+    v = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, max(d, 0)))
+    return OrthoRep(d, v.T, g)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ import pytest
 import thetalab
 from thetalab.cli import main
 from thetalab.experiments import EXPERIMENT_NAMES, run_experiment, run_experiments
-from thetalab.graph import complete_graph, cycle_graph, from_edges, graph_from_json, graph_to_json
-from thetalab.ortho import basis_rep_from_clique_cover, rep_to_json, umbrella_rep
+from thetalab.graph import complete_graph, cycle_graph, empty_graph, from_edges, graph_from_json, graph_to_json
+from thetalab.ortho import OrthoRep, basis_rep_from_clique_cover, rep_to_json, umbrella_rep
 from thetalab.constructions import clique_union, clique_union_parts
 
 SQRT5 = 2.23606797749979
@@ -132,6 +132,12 @@ def test_rep_validate_and_gram(tmp_path, capsys):
     m = np.array(json.loads(out)["gram"])
     assert m.shape == (5, 5)
     assert np.allclose(np.diag(m), 1.0, atol=1e-8)
+
+
+def test_rep_validate_accepts_the_empty_representation(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(rep_to_json(OrthoRep(3, np.zeros((3, 0)), empty_graph(0)))))
+    assert run(capsys, ["rep", "validate", "--file", str(path)]) == (0, "valid: true\nmax_residual: 0\n", "")
 
 
 def test_rep_certify_paths(tmp_path, capsys):

@@ -368,6 +368,13 @@ def test_rep_json_roundtrip():
     assert back.target == rep.target
     assert np.allclose(back.vectors, rep.vectors, atol=1e-15)
     assert validate_rep(back, rep.target).ok
+    for d in (0, 1, 3):  # no vertices: written as "vectors": [], read back as d x 0
+        empty = OrthoRep(d, np.zeros((d, 0)), empty_graph(0))
+        back = rep_from_json(rep_to_json(empty))
+        assert back.d == d and back.vectors.shape == (d, 0) and back.target == empty.target
+        assert validate_rep(back, back.target).ok
+    with pytest.raises(ValueError):  # ragged rows are still refused
+        rep_from_json({"d": 2, "vectors": [[1.0, 0.0], [1.0]], "graph": {"n": 2, "edges": []}})
 
 
 def test_trace_power_matches_direct_power():

@@ -24,18 +24,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetalab import constructions as constructions_module
+from thetalab import experiments as experiments_module
 from thetalab import graph as graph_module
 from thetalab import linalg as linalg_module
 from thetalab.constructions import clique_union, furedi_graph, polarity_graph, polarity_graph_with_loops
 from thetalab.errors import ConvergenceFailure, PreconditionViolated
-from thetalab.experiments import (
-    _cycle_free_graph,
-    _edge_positions,
-    _grow_c5_free_masks,
-    _layers_3_colorable,
-    _mask_graph,
-    _three_colorable_table,
-)
+from thetalab.experiments import _cycle_free_graph, _grow_c5_free_masks, _layers_3_colorable, _three_colorable_table
 from thetalab.ffield import element_of_order, field_from_order, field_tables, prime_factors, subgroup
 from thetalab.graph import (
     Graph,
@@ -292,22 +286,27 @@ def layers_3_colorable_loop(n, adj, memo):
     return True
 
 
+def pair_bit(u, v):
+    """The bit of pair {u, v} in an edge mask: pairs in colex order, (u, v) with u < v is v(v-1)/2 + u."""
+    u, v = min(u, v), max(u, v)
+    return v * (v - 1) // 2 + u
+
+
+def mask_graph(n, mask):
+    return from_edges(n, [(u, v) for v in range(n) for u in range(v) if mask >> pair_bit(u, v) & 1])
+
+
 def cycle_edge_masks(n: int, length: int):
-    idx = {p: i for i, p in enumerate(_edge_positions(n))}
     masks = set()
     for sub in itertools.combinations(range(n), length):
         for perm in itertools.permutations(sub[1:]):
             cyc = (sub[0],) + perm
-            m = 0
-            for i in range(length):
-                a, b = cyc[i], cyc[(i + 1) % length]
-                m |= 1 << idx[(min(a, b), max(a, b))]
-            masks.add(m)
+            masks.add(sum(1 << pair_bit(cyc[i], cyc[(i + 1) % length]) for i in range(length)))
     return sorted(masks)
 
 
 def c5_free_masks(n: int) -> np.ndarray:
-    """Edge masks (bit k = k-th pair of _edge_positions) of the 5-cycle-free graphs on n vertices."""
+    """Edge masks (bit pair_bit(u, v) for edge uv) of the 5-cycle-free graphs on n vertices."""
     all_g = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
     has = np.zeros(len(all_g), dtype=bool)
     for m in cycle_edge_masks(n, 5):
@@ -840,42 +839,36 @@ def test_codegree_default_tiles_find_pair_in_first_and_last_tile():
     assert contains_cycle(g, 4)
 
 
-def test_layer_sweep_matches_per_graph_bfs():
-    # every labelled graph on <= 6 vertices, 5-cycles included, so both verdicts occur
-    violations = {}
-    for n in range(1, 7):
-        graphs = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
-        memo = {}
-        expected = []
-        for gmask in graphs.tolist():
-            adj = [0] * n
-            for k, (u, v) in enumerate(_edge_positions(n)):
-                if gmask >> k & 1:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-            expected.append(layers_3_colorable_loop(n, adj, memo))
-        assert _layers_3_colorable(n, graphs).tolist() == expected
-        violations[n] = expected.count(False)
+def test_layer_sweep_matches_per_graph_bfs(monkeypatch):
+    # every labelled graph on <= 6 vertices, 5-cycles included, so both verdicts occur; the graphs on
+    # n vertices are the masks below 2^C(n,2), and blocks of 7 leave a last block of one graph
+    graphs = np.arange(1 << 15, dtype=np.uint32)
+    memo = {}
+    expected = [layers_3_colorable_loop(6, list(mask_graph(6, m).adj), memo) for m in graphs.tolist()]
+    monkeypatch.setattr(experiments_module, "LAYER_BLOCK", 7)
+    assert len(graphs) % 7 == 1
+    assert _layers_3_colorable(graphs).tolist() == expected
+    violations = {n: expected[: 1 << (n * (n - 1) // 2)].count(False) for n in range(1, 7)}
     assert violations == {1: 0, 2: 0, 3: 0, 4: 0, 5: 1, 6: 172}
 
 
 def three_colorable_bits(n: int) -> np.ndarray:
-    edges = len(_edge_positions(n))
-    return np.unpackbits(_three_colorable_table(n), bitorder="little")[: 1 << edges].astype(bool)
+    """The first 2^C(n,2) bits of the table: those of the graphs on n vertices."""
+    return np.unpackbits(_three_colorable_table(), bitorder="little")[: 1 << (n * (n - 1) // 2)].astype(bool)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_three_colorable_table_on_every_edge_mask(n):
     bits = three_colorable_bits(n)
-    assert bits.tolist() == [chromatic_number_exact(_mask_graph(n, m)) <= 3 for m in range(len(bits))]
+    assert bits.tolist() == [chromatic_number_exact(mask_graph(n, m)) <= 3 for m in range(len(bits))]
 
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_three_colorable_table_on_a_sample(n):
     bits = three_colorable_bits(n)
-    assert _three_colorable_table(n).nbytes == len(bits) // 8  # bit-packed: 256 KB at n = 7
+    assert _three_colorable_table().nbytes == (1 << 21) // 8  # bit-packed: 256 KB for the 7-vertex masks
     sample = np.random.default_rng(5 + n).integers(0, len(bits), 400).tolist()
-    verdicts = [chromatic_number_exact(_mask_graph(n, m)) <= 3 for m in sample]
+    verdicts = [chromatic_number_exact(mask_graph(n, m)) <= 3 for m in sample]
     assert bits[sample].tolist() == verdicts
     assert 0 < sum(verdicts) < len(sample)
 
@@ -884,26 +877,30 @@ def test_layer_sweep_sees_a_bad_second_layer():
     # root 0, A_1 = {1, 2}, A_2 = K4 on {3, 4, 5, 6}; vertex 1 sees 3, 4 and vertex 2 sees 5, 6,
     # so every A_1 layer is 3-colourable and only A_2 of root 0 is not (n <= 6 has no such graph)
     g = from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)])
-    mask = sum(1 << k for k, (u, v) in enumerate(_edge_positions(7)) if g.has_edge(u, v))
+    mask = sum(1 << pair_bit(u, v) for u, v in g.edges())
     assert all(chromatic_number_exact(induced_subgraph(g, g.neighbors(v))) <= 3 for v in range(7))
     assert not layers_3_colorable_loop(7, list(g.adj), {})
-    assert _layers_3_colorable(7, np.array([mask], dtype=np.uint32)).tolist() == [False]
+    assert _layers_3_colorable(np.array([mask], dtype=np.uint32)).tolist() == [False]
 
 
 C5_FREE_COUNTS = [1, 2, 8, 64, 806, 13922, 316453]
 
 
 def test_grown_c5_free_masks_match_full_sweep():
-    grown = list(_grow_c5_free_masks(7))
-    assert [len(masks) for masks in grown] == C5_FREE_COUNTS and sum(C5_FREE_COUNTS) == 331256
-    for n, masks in enumerate(grown, start=1):
-        ref = c5_free_masks(n)
-        assert masks.dtype == ref.dtype and np.array_equal(masks, ref)
+    # the graphs on n vertices are the ascending masks' prefix below 2^C(n,2)
+    free = _grow_c5_free_masks()
+    assert free.dtype == np.uint32 and np.all(free[:-1] < free[1:])
+    counts = []
+    for n in range(1, 8):
+        prefix = free[: np.searchsorted(free, 1 << (n * (n - 1) // 2))]
+        assert np.array_equal(prefix, c5_free_masks(n))
+        counts.append(len(prefix))
+    assert counts == C5_FREE_COUNTS and sum(counts) == 331256
 
 
 def test_grown_c5_free_masks_match_cycle_search():
     # seeded 7-vertex masks: grown graphs, grown graphs with one more edge, and uniform masks
-    free = list(_grow_c5_free_masks(7))[-1]
+    free = _grow_c5_free_masks()
     rng = np.random.default_rng(13)
     members = rng.choice(free, 150, replace=False)
     plus_one = rng.choice(free, 150, replace=False) | (np.uint32(1) << rng.integers(0, 21, 150, dtype=np.uint32))
@@ -912,7 +909,7 @@ def test_grown_c5_free_masks_match_cycle_search():
     grown = np.isin(sample, free)
     assert 150 < np.count_nonzero(grown) < 450
     for m, inside in zip(sample.tolist(), grown.tolist()):
-        assert inside == (not contains_cycle(_mask_graph(7, m), 5))
+        assert inside == (not contains_cycle(mask_graph(7, m), 5))
 
 
 def _check_eigh_bits(a):
