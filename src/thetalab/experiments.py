@@ -279,16 +279,13 @@ def _run_msr_cycle(seed: int):
         # the certificate searched clique_union(n, s) for C_t and validated rep; it raises otherwise
         rep, g = ortho.msr_upper_certificate(n, s, f"C{t}")
         free_n += 1
-        if rep.d == -(-n // s):
-            valid_n += 1
-        m = ortho.gram(rep).dense()
-        square_sum = float((m * m).sum())  # exact: entries are exact 0.0 / 1.0
-        if square_sum == float(n * s):
+        valid_n += rep.d == -(-n // s)
+        chain = ortho.msr_lower_chain_check(rep, g, s)  # its tr(M^2) is exact: Gram entries are 0.0 / 1.0
+        if chain.trace_sq == n * s:
             eq_n += 1
         elif first_miss is None:
-            first_miss = (n, t, int(round(square_sum)), n * s)
-        if ortho.msr_lower_chain_check(rep, g, s).chain_ok:
-            chain_n += 1
+            first_miss = (n, t, int(round(chain.trace_sq)), n * s)
+        chain_n += chain.chain_ok
     checks = [
         _chk("contains_cycle", "clique_union(n, t-1) has no C_t at any grid point",
              f"{total}/{total}", f"{free_n}/{total}", 0.0, free_n == total),

@@ -55,35 +55,37 @@ class RepValidation:
     max_residual: float
 
 
-def validate_rep(rep: OrthoRep, g: Graph) -> RepValidation:
-    """Check unit norms and orthogonality on non-adjacent pairs."""
-    if rep.target.n != g.n:
-        raise DimensionMismatch(f"rep has {rep.target.n} vertices, graph has {g.n}")
-    v = rep.vectors
-    gm = v.T @ v
-    worst = float(np.max(np.abs(np.diag(gm) - 1.0))) if g.n else 0.0
-    non_adjacent = np.triu(adjacency_dense(g) == 0.0, k=1)
-    if non_adjacent.any():
-        worst = max(worst, float(np.max(np.abs(gm[non_adjacent]))))
-    return RepValidation(worst <= REP_TOL, worst)
-
-
-def require_valid_rep(rep: OrthoRep, g: Graph) -> None:
-    """Raise RepInvalid unless rep validates against g."""
-    check = validate_rep(rep, g)
-    if not check.ok:
-        raise RepInvalid(f"rep residual {check.max_residual} exceeds tolerance")
-
-
 def gram(rep: OrthoRep) -> SymMatrix:
-    """Gram matrix of the representation's vectors; PreconditionViolated if
-    it overflows float64."""
+    """Gram matrix of the representation's vectors, the package's one v^T v; PreconditionViolated
+    if an entry is beyond half the float64 range, where sym_from_dense's m + m^T overflows."""
     v = rep.vectors
     with np.errstate(over="ignore"):
         m = v.T @ v
-    if not np.all(np.isfinite(m)):
+    if not np.all(np.abs(m) <= sys.float_info.max / 2):
         raise PreconditionViolated("Gram matrix overflows float64: vector entries are too large")
     return sym_from_dense(m)
+
+
+def _gram_residual(rep: OrthoRep, g: Graph) -> tuple[SymMatrix, float]:
+    """rep's Gram matrix and its largest deviation from I on the diagonal and the non-adjacent pairs of g."""
+    if rep.target.n != g.n:
+        raise DimensionMismatch(f"rep has {rep.target.n} vertices, graph has {g.n}")
+    m = gram(rep)
+    return m, float(np.max(np.abs(m.dense() - np.eye(g.n))[adjacency_dense(g) == 0.0], initial=0.0))
+
+
+def validate_rep(rep: OrthoRep, g: Graph) -> RepValidation:
+    """Check unit norms and orthogonality on non-adjacent pairs."""
+    worst = _gram_residual(rep, g)[1]
+    return RepValidation(worst <= REP_TOL, worst)
+
+
+def require_valid_rep(rep: OrthoRep, g: Graph) -> SymMatrix:
+    """The Gram matrix of rep; RepInvalid unless rep validates against g."""
+    m, worst = _gram_residual(rep, g)
+    if worst > REP_TOL:
+        raise RepInvalid(f"rep residual {worst} exceeds tolerance")
+    return m
 
 
 def basis_rep_from_clique_cover(g: Graph, cover) -> OrthoRep:
@@ -221,6 +223,8 @@ class SchnirelmannReport:
 
 def schnirelmann_check(m: SymMatrix) -> SchnirelmannReport:
     """tr(M)^2 <= rank(M) * tr(M^2), with slack reported."""
+    if m.n == 0:
+        raise PreconditionViolated("schnirelmann check needs n >= 1: the empty matrix has no spectrum")
     tr = float(np.trace(m.dense()))
     lhs = tr * tr
     spec = eigvals_sym(m)
@@ -268,11 +272,10 @@ def msr_lower_chain_check(rep: OrthoRep, g: Graph, t: int) -> MsrChainReport:
     """
     if t < 1:
         raise PreconditionViolated(f"msr chain needs t >= 1, got {t}")
-    require_valid_rep(rep, g)
-    m = gram(rep)
-    t2 = eigvals_sym(m).power_sum(2)
+    m = require_valid_rep(rep, g).dense()
+    t2 = float((m * m).sum())  # tr(M^2) with no decomposition: exact on the 0/1 Grams of clique unions
     n = g.n
-    trace_link = t2 <= n * t + REP_TOL * max(1.0, n * t)
+    trace_link = t2 <= n * t or t2 <= n * t + REP_TOL * max(1.0, n * t)  # exact first: REP_TOL * n t may overflow
     chain = n * n <= rep.d * t2 * (1.0 + REP_TOL)
     return MsrChainReport(trace_link and chain, rep.d, t2, trace_link, chain, n, t)
 
@@ -314,8 +317,8 @@ def cycle_free_bound(parity: str, t: int, n: int) -> float:
     rounded to a float; PreconditionViolated if it exceeds the float64 limit."""
     base = 6 * t if parity == "odd" else 12 * t
     limit = f"{parity}-parity bound {base}^{2 * t}*{n} for t = {t} exceeds the float64 limit {sys.float_info.max!r}"
-    # an estimate above 2^1025 overflows whatever the logs' rounding, so a huge power is never computed
-    if 2 * t * math.log2(base) + math.log2(max(n, 1)) > 1025:
+    # an estimate above 2^1025 (as every t > 1025 gives) overflows whatever the logs' rounding, so no huge power is computed
+    if 2 * min(t, 1025) * math.log2(base) + math.log2(max(n, 1)) > 1025:
         raise PreconditionViolated(limit)
     try:
         return float(base ** (2 * t) * n)
@@ -334,28 +337,27 @@ def trace_power_certificate(rep: OrthoRep, g: Graph, t: int, parity: str) -> Tra
     bound = cycle_free_bound(parity, t, g.n)
     if power > POWER_SUM_MAX:
         raise PreconditionViolated(f"trace power {power} for t = {t} is above the power-sum limit {POWER_SUM_MAX}")
-    require_valid_rep(rep, g)
-    spec = eigvals_sym(gram(rep))
+    if g.n == 0:
+        raise PreconditionViolated("trace-power certificate needs n >= 1: the empty matrix has no top eigenvalue")
+    spec = eigvals_sym(require_valid_rep(rep, g))
     tv = spec.power_sum(power)
-    scale = max(1.0, bound)
-    trace_ok = tv <= bound + 1e-8 * scale
+    trace_ok = tv <= bound + REP_TOL * max(1.0, bound)
     lam_top = float(spec.eigenvalues[0])
     lam_bound = bound ** (1.0 / power)
-    lam_ok = lam_top <= lam_bound + 1e-8 * max(1.0, lam_bound)
+    lam_ok = lam_top <= lam_bound + REP_TOL * max(1.0, lam_bound)
     return TracePowerReport(trace_ok and lam_ok, parity, t, power, tv, bound, trace_ok, lam_top, lam_bound, lam_ok)
 
 
 def rep_sum_length(rep: OrthoRep) -> float:
     """Length of the sum of all representation vectors.
 
-    Cross-computed from the Gram matrix; a disagreement beyond 1e-8 means
+    Cross-computed from the Gram matrix; a disagreement beyond REP_TOL means
     the representation data is numerically broken.
     """
+    quad = float(gram(rep).dense().sum())  # 1^T M 1
     direct = float(np.linalg.norm(rep.vectors.sum(axis=1)))
-    ones = np.ones(rep.n)
-    quad = float(ones @ (rep.vectors.T @ rep.vectors) @ ones)
     via_gram = float(np.sqrt(max(quad, 0.0)))
-    if abs(direct - via_gram) > 1e-8 * max(1.0, direct):
+    if abs(direct - via_gram) > REP_TOL * max(1.0, direct):
         raise RepInvalid(f"sum-length cross-check failed: {direct} vs {via_gram}")
     return direct
 

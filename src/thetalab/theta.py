@@ -16,6 +16,7 @@ correction term's edge pattern whenever that candidate is better).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,8 +268,10 @@ def bound_formula_check(g: Graph, parity: str, t: int) -> BoundFormulaReport:
     ortho.require_cycle_free(g, parity, t)
     if parity == "odd":
         formula = ortho.cycle_free_bound(parity, t, n) ** (1.0 / (2 * t + 1))
-    else:
+    elif 12 * t <= sys.float_info.max:
         formula = 12 * t * n ** (1.0 / (2 * t))
+    else:
+        raise PreconditionViolated(f"even-parity bound 12*{t}*n^(1/{2 * t}) exceeds the float64 limit {sys.float_info.max!r}")
     if n <= SOLVER_N_CAP:
         value = theta_sdp(complement(g)).upper
         certified = True

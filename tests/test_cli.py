@@ -140,6 +140,40 @@ def test_rep_validate_accepts_the_empty_representation(tmp_path, capsys):
     assert run(capsys, ["rep", "validate", "--file", str(path)]) == (0, "valid: true\nmax_residual: 0\n", "")
 
 
+@pytest.mark.parametrize("check, code, needle", [
+    (["--check", "schnirelmann"], 2, "error: schnirelmann check needs n >= 1"),
+    (["--check", "trace-power", "--t", "1", "--parity", "odd"], 2, "error: trace-power certificate needs n >= 1"),
+    (["--check", "msr-chain", "--t", "1"], 0, "tr(M^2): 0\n"),
+], ids=["schnirelmann", "trace-power", "msr-chain"])
+def test_rep_certify_on_the_empty_representation(tmp_path, capsys, check, code, needle):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(rep_to_json(OrthoRep(3, np.zeros((3, 0)), empty_graph(0)))))
+    got, out, err = run(capsys, ["rep", "certify", "--file", str(path)] + check)
+    assert got == code and needle in out + err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [1e200, 1.3e154])
+def test_rep_validate_refuses_an_overflowing_gram(tmp_path, capsys, entry):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(rep_to_json(OrthoRep(1, np.array([[entry, 1.0]]), from_edges(2, [(0, 1)])))))
+    for action in ("validate", "gram"):
+        assert run(capsys, ["rep", action, "--file", str(path)]) == (
+            2, "", "error: Gram matrix overflows float64: vector entries are too large\n")
+
+
+def test_rep_certify_takes_a_t_beyond_the_float64_range(tmp_path, capsys):
+    g = clique_union(9, 3)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep_to_json(basis_rep_from_clique_cover(g, clique_union_parts(9, 3)))))
+    huge = str(10**400)
+    code, out, _ = run(capsys, ["rep", "certify", "--file", str(path), "--check", "msr-chain", "--t", huge, "--json"])
+    assert code == 0 and json.loads(out)["ok"] is True
+    for parity in ("odd", "even"):
+        code, _, err = run(capsys, ["rep", "certify", "--file", str(path), "--check", "trace-power",
+                                    "--t", huge, "--parity", parity])
+        assert code == 2 and err.startswith(f"error: {parity}-parity bound ") and "exceeds the float64 limit" in err
+
+
 def test_rep_certify_paths(tmp_path, capsys):
     g = clique_union(9, 3)
     rep = basis_rep_from_clique_cover(g, clique_union_parts(9, 3))
@@ -414,6 +448,29 @@ def test_msr_cycle_searches_each_grid_point_once(monkeypatch):
     monkeypatch.setattr(graph, "contains_cycle", spy)  # the binding contains_pattern reads
     assert not run_experiment("msr-cycle").passed  # criterion 7's known failure
     assert sorted(searched) == [3] * 26 + [4] * 26 + [5] * 26  # one search per grid point, the certificate's
+
+
+def test_msr_cycle_reads_the_chain_certificate(monkeypatch):
+    from thetalab import ortho
+
+    gram_callers, chains = [], []
+    real_gram, real_chain = ortho.gram, ortho.msr_lower_chain_check
+
+    def gram_spy(rep):
+        gram_callers.append(sys._getframe(1).f_globals["__name__"])
+        return real_gram(rep)
+
+    def chain_spy(rep, g, t):
+        chains.append((rep.n, t + 1))
+        return real_chain(rep, g, t)
+
+    monkeypatch.setattr(ortho, "gram", gram_spy)
+    monkeypatch.setattr(ortho, "msr_lower_chain_check", chain_spy)
+    report = run_experiment("msr-cycle")
+    assert not report.passed  # criterion 7's known failure, with its detail unchanged
+    assert report.checks[2].observed == "28/78 (first miss n=5, t=3: tr(M^2) = 9, n(t-1) = 10)"
+    assert set(gram_callers) == {"thetalab.ortho"}  # only the certificates form a Gram
+    assert sorted(chains) == [(n, t) for n in range(5, 31) for t in (3, 4, 5)]  # one chain check per grid point
 
 
 def test_run_experiments_rejects_unknown():

@@ -3,7 +3,8 @@
 Every input must give a value or one of the errors a caller is expected to
 handle: ValueError, KeyError, TypeError or a ThetalabError.  The CLI turns
 those into exit 2, so a command on any such file exits 0, 1 or 2.  All
-integers are small, so no case asks for a large graph.
+integers in the files are small, so no case asks for a large graph; a
+certificate's --t may also be 0 or far beyond the float64 range.
 """
 
 import contextlib
@@ -11,7 +12,7 @@ import io
 import json
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from thetalab.cli import main
@@ -148,16 +149,29 @@ def _cli(argv):
     return code, err.getvalue()
 
 
+HUGE_T = 10**400
+EMPTY_REP = {"d": 2, "graph": {"n": 0, "edges": []}, "vectors": []}
+UNIT_REP = {"d": 1, "graph": {"n": 1, "edges": []}, "vectors": [[1.0]]}
+
+
 @CLI_FUZZ
-@given(graph_objects(), rep_objects(), patterns)
-def test_cli_on_fuzzed_files_exits_cleanly(tmp_path_factory, graph_obj, rep_obj, pattern):
+@given(graph_obj=graph_objects(), rep_obj=rep_objects(), pattern=patterns,
+       t=st.sampled_from([0, HUGE_T]) | st.integers(-2, 9), parity=st.sampled_from([None, "odd", "even"]))
+@example(graph_obj={"n": 1, "edges": []}, rep_obj=EMPTY_REP, pattern="C4", t=1, parity="odd")
+@example(graph_obj={"n": 1, "edges": []}, rep_obj=UNIT_REP, pattern="C4", t=HUGE_T, parity="odd")
+def test_cli_on_fuzzed_files_exits_cleanly(tmp_path_factory, graph_obj, rep_obj, pattern, t, parity):
     work = tmp_path_factory.mktemp("fuzz")
     graph_path, rep_path = work / "g.json", work / "rep.json"
     graph_path.write_text(json.dumps(graph_obj))
     rep_path.write_text(json.dumps(rep_obj))
+    certify = ["rep", "certify", "--file", str(rep_path), "--t", str(t)] + (["--parity", parity] if parity else [])
     for argv in (["spectrum", "--graph", str(graph_path)],
                  ["check", "free", "--pattern", pattern, "--graph", str(graph_path)],
-                 ["rep", "validate", "--file", str(rep_path)]):
+                 ["rep", "validate", "--file", str(rep_path)],
+                 ["rep", "gram", "--file", str(rep_path)],
+                 certify + ["--check", "schnirelmann"],
+                 certify + ["--check", "trace-power"],
+                 certify + ["--check", "msr-chain"]):
         code, err = _cli(argv)
         assert code in (0, 1, 2), (argv, code, err)
         assert "Traceback" not in err

@@ -12,6 +12,8 @@ import itertools
 import numpy as np
 import pytest
 
+from thetalab import linalg as linalg_mod
+from thetalab import ortho as ortho_mod
 from thetalab.constructions import clique_union, clique_union_parts, polarity_graph
 from thetalab.errors import (
     DimensionMismatch,
@@ -22,7 +24,7 @@ from thetalab.errors import (
 )
 from thetalab.graph import Graph, complete_graph, contains_cycle, cycle_graph, empty_graph, from_edges
 from thetalab.linalg import eigvals_sym, sym_from_dense
-from thetalab.theta import theta_lower_from_rep, theta_upper_from_rep
+from thetalab.theta import bound_formula_check, theta_lower_from_rep, theta_upper_from_rep
 from thetalab.ortho import (
     OrthoRep,
     basis_rep_from_clique_cover,
@@ -125,6 +127,15 @@ def test_gram_overflow_is_a_precondition_violation():
     rep = OrthoRep(1, np.array([[1.7e308, 1.0]]), from_edges(2, [(0, 1)]))
     with pytest.raises(PreconditionViolated, match="overflows"):
         gram(rep)
+
+
+@pytest.mark.parametrize("entry", [1e200, 1.3e154])  # v^T v overflows; v^T v is finite but its m + m^T is not
+def test_every_gram_reader_refuses_an_overflowing_gram(entry):
+    g = from_edges(2, [(0, 1)])
+    rep = OrthoRep(1, np.array([[entry, 1.0]]), g)
+    for read in (gram, lambda r: validate_rep(r, g), rep_sum_length, lambda r: msr_lower_chain_check(r, g, 1)):
+        with pytest.raises(PreconditionViolated, match="Gram matrix overflows float64"):
+            read(rep)
 
 
 def test_umbrella_gram_orthogonal_pairs():
@@ -251,6 +262,54 @@ def test_msr_chain_on_block_reps():
     basis = basis_rep_from_clique_cover(empty_graph(5), [[v] for v in range(5)])
     out = msr_lower_chain_check(basis, empty_graph(5), 4)
     assert out.ok and abs(out.trace_sq - 5.0) <= 1e-9
+
+
+def test_msr_chain_makes_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the msr chain decomposed its Gram matrix")
+
+    monkeypatch.setattr(ortho_mod, "eigvals_sym", refuse)
+    monkeypatch.setattr(linalg_mod, "eigh_dense", refuse)
+    g = clique_union(5, 2)
+    out = msr_lower_chain_check(basis_rep_from_clique_cover(g, clique_union_parts(5, 2)), g, 2)
+    # parts 2, 2, 1: tr(M^2) = 9 exactly, below n t = 10, and 25 <= 3 * 9
+    assert out.ok and out.trace_sq == 9.0 and out.dimension == 3
+
+
+def test_msr_chain_trace_is_the_spectral_power_sum():
+    for seed in range(5):
+        g = random_graph(9, 0.4, seed)
+        rep = random_rep(g, seed)
+        out = msr_lower_chain_check(rep, g, 9)
+        assert abs(out.trace_sq - eigvals_sym(gram(rep)).power_sum(2)) <= 1e-12 * out.trace_sq
+
+
+def test_msr_chain_on_the_empty_representation():
+    out = msr_lower_chain_check(OrthoRep(2, np.zeros((2, 0)), empty_graph(0)), empty_graph(0), 1)
+    assert out.ok and out.trace_sq == 0.0 and out.n == 0
+
+
+def test_spectral_certificates_refuse_the_empty_representation():
+    rep = OrthoRep(2, np.zeros((2, 0)), empty_graph(0))
+    with pytest.raises(PreconditionViolated, match="schnirelmann check needs n >= 1"):
+        schnirelmann_check(gram(rep))
+    with pytest.raises(PreconditionViolated, match="trace-power certificate needs n >= 1"):
+        trace_power_certificate(rep, rep.target, 1, "odd")
+
+
+def test_certificates_take_a_t_beyond_the_float64_range():
+    huge = 10**400
+    g = clique_union(9, 3)
+    out = msr_lower_chain_check(basis_rep_from_clique_cover(g, clique_union_parts(9, 3)), g, huge)
+    assert out.ok and out.trace_link_ok and out.t == huge
+    rep = umbrella_rep(False)
+    for parity in ("odd", "even"):
+        with pytest.raises(PreconditionViolated, match="exceeds the float64 limit"):
+            cycle_free_bound(parity, huge, 5)
+        with pytest.raises(PreconditionViolated, match="exceeds the float64 limit"):
+            trace_power_certificate(rep, rep.target, huge, parity)
+        with pytest.raises(PreconditionViolated, match=f"{parity}-parity bound .* exceeds the float64 limit"):
+            bound_formula_check(cycle_graph(5), parity, huge)
 
 
 def test_msr_chain_rejects_tree_size_below_one():
