@@ -5,12 +5,12 @@ QL) whose Spectrum gives trace powers and numeric rank, and PSD projection.
 numpy supplies array storage and BLAS-level products only; the
 eigensolver itself is local so results are reproducible across
 environments with no LAPACK dependence.  The QL recurrence runs on
-Python floats and records its rotations; they are applied to the
-eigenvectors a wavefront level at a time, and every result is
-bit-identical to rotating one column pair at a time.  A values-only
-call (eigh_dense(a, vectors=False), eigvals_sym) skips the Householder
-and rotation work on the eigenvectors, which never feeds back into the
-eigenvalues.
+Python floats and records its rotations; rotation i of sweep k sits at
+wavefront level 2k - i, the eigenvectors are rotated a level at a time,
+and every result is bit-identical to rotating one column pair at a
+time.  A values-only call (eigh_dense(a, vectors=False), eigvals_sym)
+skips the Householder and rotation work on the eigenvectors, which
+never feeds back into the eigenvalues.
 """
 
 from __future__ import annotations
@@ -140,10 +140,14 @@ def _tridiagonalize(a: np.ndarray, vectors: bool):
 def _apply_levels(zt: np.ndarray, rot_i: list, rot_c: list, rot_s: list, rot_level: list) -> None:
     """Apply recorded rotations to the rows of zt, one wavefront level at a time.
 
-    The rotations of one level act on disjoint row pairs (i, i+1), and each
-    sits one level above every earlier rotation on either of its rows, so
-    every entry sees the same products in the same order as rotating one
-    pair at a time.  A level is one update of its rows: row i takes
+    Rotation i of sweep k acts on rows (i, i+1) at level 2k - i.  The next
+    rotation of its sweep, i - 1, shares row i one level higher.  A later
+    sweep's rotation (k', i') that shares a row has |i' - i| <= 1, so its
+    level 2k' - i' >= 2k - i + 1.  Two rotations on one level have
+    i' - i = 2(k' - k): they are one rotation, or act on disjoint rows.
+    Each flush applies everything recorded before it, so every entry sees
+    the same products in the same order as rotating one pair at a time.
+    A level is one update of its rows: row i takes
     c*z_i + (-s)*z_(i+1) and row i+1 takes c*z_(i+1) + s*z_i, which round
     exactly as c*z_i - s*z_(i+1) and s*z_i + c*z_(i+1).  Empties the record.
     """
@@ -178,7 +182,6 @@ def _ql_implicit(d: list, e: list, zt: np.ndarray | None, iter_cap: int) -> int:
     hypot, copysign = math.hypot, math.copysign
     record = zt is not None
     rot_i, rot_c, rot_s, rot_level = [], [], [], []
-    last = [0] * n  # level of the latest recorded rotation on each row
     flush_at = _FLUSH_PER_ROW * n
     total = 0
     for l in range(n):
@@ -218,15 +221,10 @@ def _ql_implicit(d: list, e: list, zt: np.ndarray | None, iter_cap: int) -> int:
                 d[i + 1] = g + p
                 g = c * r - b
                 if record:
-                    lv = last[i]
-                    if last[i + 1] > lv:
-                        lv = last[i + 1]
-                    lv += 1
-                    last[i] = last[i + 1] = lv
                     rot_i.append(i)
                     rot_c.append(c)
                     rot_s.append(s)
-                    rot_level.append(lv)
+                    rot_level.append(2 * total - i)
             if record and len(rot_i) >= flush_at:
                 _apply_levels(zt, rot_i, rot_c, rot_s, rot_level)
             if underflow:

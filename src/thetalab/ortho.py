@@ -8,6 +8,7 @@ chain, and trace-power bounds for cycle-free graphs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, field
@@ -21,8 +22,8 @@ from .errors import (
     RepInvalid,
     UnsupportedPattern,
 )
-from .graph import Graph, clique_union, clique_union_parts, complement, contains_cycle, contains_pattern, cycle_graph, graph_from_json, graph_to_json, json_int, json_number, parse_pattern
-from .linalg import POWER_SUM_MAX, SymMatrix, adjacency_dense, eigvals_sym, sym_from_dense
+from .graph import Graph, adjacency_rows, clique_union, clique_union_parts, complement, contains_cycle, contains_pattern, cycle_graph, graph_from_json, graph_to_json, json_int, json_number, parse_pattern
+from .linalg import POWER_SUM_MAX, SymMatrix, eigvals_sym, sym_from_dense
 
 # slack of rep validation (unit norms, orthogonality) and of the msr chain
 REP_TOL = 1e-8
@@ -71,7 +72,7 @@ def _gram_residual(rep: OrthoRep, g: Graph) -> tuple[SymMatrix, float]:
     if rep.target.n != g.n:
         raise DimensionMismatch(f"rep has {rep.target.n} vertices, graph has {g.n}")
     m = gram(rep)
-    return m, float(np.max(np.abs(m.dense() - np.eye(g.n))[adjacency_dense(g) == 0.0], initial=0.0))
+    return m, float(np.max(np.abs(m.dense() - np.eye(g.n))[adjacency_rows(g) == 0], initial=0.0))
 
 
 def validate_rep(rep: OrthoRep, g: Graph) -> RepValidation:
@@ -315,15 +316,14 @@ def require_cycle_free(g: Graph, parity: str, t: int) -> int:
 def cycle_free_bound(parity: str, t: int, n: int) -> float:
     """(6t)^{2t} n (odd parity) or (12t)^{2t} n (even parity), computed exactly and
     rounded to a float; PreconditionViolated if it exceeds the float64 limit."""
-    base = 6 * t if parity == "odd" else 12 * t
-    limit = f"{parity}-parity bound {base}^{2 * t}*{n} for t = {t} exceeds the float64 limit {sys.float_info.max!r}"
+    k = 6 if parity == "odd" else 12
     # an estimate above 2^1025 (as every t > 1025 gives) overflows whatever the logs' rounding, so no huge power is computed
-    if 2 * min(t, 1025) * math.log2(base) + math.log2(max(n, 1)) > 1025:
-        raise PreconditionViolated(limit)
-    try:
-        return float(base ** (2 * t) * n)
-    except OverflowError:
-        raise PreconditionViolated(limit) from None
+    if 2 * min(t, 1025) * math.log2(k * t) + math.log2(max(n, 1)) <= 1025:
+        with contextlib.suppress(OverflowError):
+            return float((k * t) ** (2 * t) * n)
+    # a t beyond the float64 range is named by its bit length: Python refuses a decimal of over 4300 digits
+    shown = f"{k * t}^{2 * t}*{n} for t = {t}" if t <= sys.float_info.max else f"({k}t)^(2t)*{n} for a {t.bit_length()}-bit t"
+    raise PreconditionViolated(f"{parity}-parity bound {shown} exceeds the float64 limit {sys.float_info.max!r}")
 
 
 def trace_power_certificate(rep: OrthoRep, g: Graph, t: int, parity: str) -> TracePowerReport:

@@ -31,8 +31,8 @@ from .errors import (
     NoEdges,
     PreconditionViolated,
 )
-from .graph import Graph, complement
-from .linalg import SymMatrix, adjacency_dense, adjacency_sym, eigh_dense, eigvals_sym, psd_project_dense, sym_from_dense
+from .graph import Graph, adjacency_rows, complement
+from .linalg import SymMatrix, adjacency_sym, eigh_dense, eigvals_sym, psd_project_dense, sym_from_dense
 
 DEFAULT_TOL = 1e-6
 DEFAULT_ITERATION_CAP = 50_000
@@ -58,7 +58,7 @@ class ThetaResult:
         if abs(float(np.trace(x)) - 1.0) > 1e-8:
             raise PreconditionViolated("primal certificate trace differs from 1")
         b = self.dual_b.dense()
-        edge = np.triu(adjacency_dense(self.graph) != 0.0, k=1)
+        edge = np.triu(adjacency_rows(self.graph) != 0, k=1)
         # the first wrong entry of b in row-major upper-triangle order names the error
         wrong = np.argwhere(np.triu(b != 1.0) & ~edge)
         if wrong.size:
@@ -99,7 +99,7 @@ def theta_sdp(g: Graph, tol: float = DEFAULT_TOL, iteration_cap: int = DEFAULT_I
     if iteration_cap < 1:
         raise PreconditionViolated(f"iteration_cap must be >= 1, got {iteration_cap}")
 
-    rows, cols = np.nonzero(adjacency_dense(g))
+    rows, cols = np.nonzero(adjacency_rows(g))
     eye = np.eye(n)
     ones = np.ones((n, n))
     diag = np.diag_indices(n)
@@ -144,7 +144,7 @@ def theta_sdp(g: Graph, tol: float = DEFAULT_TOL, iteration_cap: int = DEFAULT_I
         # (a) primal: objective tilt, then one cyclic-projection sweep
         x = affine_project(y - (corr - ones) / rho)
         y = psd_project_dense(x + corr / rho)
-        corr = corr + rho * (x - y)
+        corr += rho * (x - y)
 
         if iterations % _CERT_EVERY and iterations > 10:
             continue  # certify every sweep early, then every fifth
@@ -165,9 +165,8 @@ def theta_sdp(g: Graph, tol: float = DEFAULT_TOL, iteration_cap: int = DEFAULT_I
         if rows.size:  # a step needs edges; its base's top eigenvector is the one read
             base = b_sub if b_sub_top <= h_top else harvest
             top_vec = eigh_dense(base)[1][:, 0]
-            grad = np.zeros((n, n))
-            grad[rows, cols] = np.outer(top_vec, top_vec)[rows, cols]
-            b_sub = base - (1.0 / math.sqrt(rounds)) * grad
+            b_sub = base.copy()  # the subgradient is zero off the edges
+            b_sub[rows, cols] -= (1.0 / math.sqrt(rounds)) * (top_vec[rows] * top_vec[cols])
             b_sub_top = top_value(b_sub)
 
     result = ThetaResult(
@@ -197,20 +196,22 @@ def theta_spectral_lower_of_complement(g: Graph) -> float:
     return 1.0 - lam_1 / lam_n
 
 
-def _check_handle(rep: ortho.OrthoRep, x) -> np.ndarray:
+def _handle_products(rep: ortho.OrthoRep, x) -> np.ndarray:
+    """<x, f(v)> for every vertex v, once x is a unit handle and rep validates against its target."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (rep.d,):
         raise PreconditionViolated(f"handle must have length {rep.d}")
     if not abs(float(np.linalg.norm(x)) - 1.0) <= 1e-8:  # NaN fails too
         raise PreconditionViolated("handle must be a unit vector")
-    return x
+    ortho.require_valid_rep(rep, rep.target)
+    return x @ rep.vectors
 
 
 def theta_upper_from_rep(rep: ortho.OrthoRep, x) -> float:
     """max over vertices of <x, f(v)>^-2, an upper bound from a rep of g."""
-    x = _check_handle(rep, x)
-    ortho.require_valid_rep(rep, rep.target)
-    products = x @ rep.vectors
+    products = _handle_products(rep, x)
+    if rep.n == 0:
+        raise PreconditionViolated("theta upper bound needs n >= 1: the empty representation has no vector to bound")
     tiny = float(np.min(np.abs(products)))
     if tiny <= 1e-12:
         raise HandleOrthogonalToVector(f"handle inner product {tiny} with some vector")
@@ -219,10 +220,7 @@ def theta_upper_from_rep(rep: ortho.OrthoRep, x) -> float:
 
 def theta_lower_from_rep(rep: ortho.OrthoRep, x) -> float:
     """Sum of <x, f(v)>^2 over a rep of the complement: a lower bound for g."""
-    x = _check_handle(rep, x)
-    ortho.require_valid_rep(rep, rep.target)
-    products = x @ rep.vectors
-    return float(np.sum(products**2))
+    return float(np.sum(_handle_products(rep, x) ** 2))
 
 
 def L_bounds(g: Graph, theta_g: float, theta_gbar: float) -> tuple[float, float]:
@@ -270,8 +268,9 @@ def bound_formula_check(g: Graph, parity: str, t: int) -> BoundFormulaReport:
         formula = ortho.cycle_free_bound(parity, t, n) ** (1.0 / (2 * t + 1))
     elif 12 * t <= sys.float_info.max:
         formula = 12 * t * n ** (1.0 / (2 * t))
-    else:
-        raise PreconditionViolated(f"even-parity bound 12*{t}*n^(1/{2 * t}) exceeds the float64 limit {sys.float_info.max!r}")
+    else:  # a t beyond the float64 range is named by its bit length: Python refuses a decimal of over 4300 digits
+        shown = f"12*{t}*n^(1/{2 * t})" if t <= sys.float_info.max else f"12*t*n^(1/(2t)) for a {t.bit_length()}-bit t"
+        raise PreconditionViolated(f"even-parity bound {shown} exceeds the float64 limit {sys.float_info.max!r}")
     if n <= SOLVER_N_CAP:
         value = theta_sdp(complement(g)).upper
         certified = True

@@ -8,6 +8,7 @@ of the 5-cycle.
 """
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -310,6 +311,25 @@ def test_certificates_take_a_t_beyond_the_float64_range():
             trace_power_certificate(rep, rep.target, huge, parity)
         with pytest.raises(PreconditionViolated, match=f"{parity}-parity bound .* exceeds the float64 limit"):
             bound_formula_check(cycle_graph(5), parity, huge)
+
+
+def test_float64_limit_refusals_name_a_t_of_over_4300_digits_by_its_bit_length():
+    # Python refuses the decimal of 10**5000; these refusals raised that ValueError while formatting their message
+    huge = 10**5000
+    rep = umbrella_rep(False)
+    for parity in ("odd", "even"):
+        for refuse in (lambda: cycle_free_bound(parity, huge, 5),
+                       lambda: trace_power_certificate(rep, rep.target, huge, parity),
+                       lambda: bound_formula_check(cycle_graph(5), parity, huge)):
+            with pytest.raises(PreconditionViolated, match="exceeds the float64 limit 1.7976931348623157e[+]308") as info:
+                refuse()
+            assert str(info.value).startswith(f"{parity}-parity bound ") and "for a 16610-bit t " in str(info.value)
+    # t is shown in decimal up to the float64 limit, and by its bit length past it
+    top = int(sys.float_info.max)
+    with pytest.raises(PreconditionViolated, match=f"for t = {top} exceeds"):
+        cycle_free_bound("odd", top, 5)
+    with pytest.raises(PreconditionViolated, match="for a 1024-bit t exceeds"):
+        cycle_free_bound("odd", top + 1, 5)
 
 
 def test_msr_chain_rejects_tree_size_below_one():

@@ -470,10 +470,11 @@ def search_graphs(draw, n_max=16):
 
 @st.composite
 def sym_matrices(draw, n_max=24):
-    """Symmetric matrices of six kinds; adjacency, all-ones and integer
-    diagonals have repeated eigenvalues, and diagonals need no QL sweep."""
+    """Symmetric matrices of seven kinds; adjacency, all-ones and integer
+    diagonals have repeated eigenvalues, diagonals need no QL sweep, and
+    block diagonals split the tridiagonal at each block boundary."""
     n = draw(st.integers(1, n_max))
-    kind = draw(st.sampled_from(["gaussian", "integer", "adjacency", "ones", "diagonal", "tridiagonal"]))
+    kind = draw(st.sampled_from(["gaussian", "integer", "adjacency", "ones", "diagonal", "tridiagonal", "block"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "gaussian":
         a = rng.standard_normal((n, n)) * draw(st.sampled_from([1e-6, 1.0, 1e6]))
@@ -488,6 +489,10 @@ def sym_matrices(draw, n_max=24):
         return np.ones((n, n))
     if kind == "diagonal":
         return np.diag(rng.integers(-2, 3, n).astype(float))
+    if kind == "block":
+        a = rng.standard_normal((n, n))
+        block = np.sort(rng.integers(0, 3, n))
+        return np.where(block[:, None] == block, a + a.T, 0.0)
     off = rng.standard_normal(n - 1)
     return np.diag(rng.standard_normal(n)) + np.diag(off, 1) + np.diag(off, -1)
 
@@ -957,3 +962,43 @@ def test_eigh_matches_across_a_flush_at_n_300():
     assert len(flushes) >= 2 and flushes[0] >= 64 * 300
     ref_vals, ref_vecs = eigh_dense_columns(a)
     assert same_bits(vals, ref_vals) and same_bits(vecs, ref_vecs)
+
+
+def _recorded_schedule(a, flush_per_row):
+    """(row, level) of every QL rotation in record order, across all flushes, and the flush count."""
+    record, flushes = [], []
+    apply_levels = linalg_module._apply_levels
+
+    def spy(zt, rot_i, rot_c, rot_s, rot_level):
+        record.extend(zip(rot_i, rot_level))  # before _apply_levels empties the lists
+        flushes.append(len(rot_i))
+        apply_levels(zt, rot_i, rot_c, rot_s, rot_level)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg_module, "_apply_levels", spy)
+        mp.setattr(linalg_module, "_FLUSH_PER_ROW", flush_per_row)
+        eigh_dense(a)
+    return record, len(flushes)
+
+
+@pytest.mark.parametrize("kind, flush_per_row", [("dense", 64), ("split", 64), ("dense", 1), ("split", 1)])
+def test_ql_levels_order_shared_rows_and_keep_a_level_disjoint(kind, flush_per_row):
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((40, 40))
+    a = a + a.T
+    if kind == "split":  # three blocks: the tridiagonal splits, and later sweeps start on untouched rows
+        block = np.repeat([0, 1, 2], [13, 14, 13])
+        a = np.where(block[:, None] == block, a, 0.0)
+    record, flushes = _recorded_schedule(a, flush_per_row)
+    assert len(record) > 40 * 10 and (flushes > 10 if flush_per_row == 1 else flushes == 1)
+    latest = {}  # row -> level of the last rotation on it
+    level_rows = {}  # level -> rows its rotations act on
+    for i, level in record:
+        for row in (i, i + 1):
+            assert latest.get(row, -math.inf) < level
+            latest[row] = level
+        rows = level_rows.setdefault(level, set())
+        assert not rows & {i, i + 1}
+        rows |= {i, i + 1}
+    if kind == "split":  # every block was rotated, and no rotation crosses a block boundary
+        assert {12, 26}.isdisjoint(i for i, _ in record) and {0, 13, 27} <= {i for i, _ in record}

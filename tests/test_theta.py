@@ -280,6 +280,18 @@ def test_rep_bound_trivial_cases():
         theta_upper_from_rep(basis, np.array([0.0, 1.0] + [0.0] * (n - 2)))
 
 
+def test_theta_upper_from_rep_refuses_the_empty_representation():
+    # the minimum over no inner products raised numpy's untyped ValueError
+    rep = OrthoRep(2, np.zeros((2, 0)), empty_graph(0))
+    with pytest.raises(PreconditionViolated, match="empty representation"):
+        theta_upper_from_rep(rep, np.array([1.0, 0.0]))
+
+
+def test_theta_lower_from_rep_is_zero_on_the_empty_representation():
+    rep = OrthoRep(2, np.zeros((2, 0)), empty_graph(0))
+    assert theta_lower_from_rep(rep, np.array([1.0, 0.0])) == 0.0
+
+
 def test_handle_preconditions():
     rep = umbrella_rep(False)
     with pytest.raises(PreconditionViolated):
