@@ -26,12 +26,11 @@ _EXPORTS = {
     "graph": (
         "Graph", "LayerColoringReport", "bfs_layers", "chromatic_number_exact", "clique_union", "clique_union_parts",
         "complement", "complete_graph", "contains_clique", "contains_complete_bipartite", "contains_cycle",
-        "contains_pattern", "cycle_graph", "empty_graph", "from_edges", "graph_from_json", "graph_from_text",
-        "graph_to_json", "graph_to_text", "induced_subgraph", "layer_chromatic_check", "max_clique_size",
-        "parse_pattern",
+        "contains_pattern", "cycle_graph", "empty_graph", "from_edges", "graph_from_json", "graph_to_json",
+        "induced_subgraph", "layer_chromatic_check", "max_clique_size", "parse_pattern",
     ),
     "linalg": (
-        "Spectrum", "SymMatrix", "adjacency_dense", "adjacency_sym", "eigen_sym", "eigvals_sym", "sym_from_dense",
+        "Spectrum", "SymMatrix", "adjacency_sym", "eigen_sym", "eigvals_sym", "sym_from_dense",
     ),
     "constructions": (
         "FurediGraph", "SquareIdentityReport", "furedi_graph", "furedi_square_identity", "polarity_graph",

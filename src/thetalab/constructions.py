@@ -44,11 +44,10 @@ class FurediGraph:
     """Scaling-class graph together with its construction data.
 
     classes holds one canonical pair (a, b) per vertex, the smallest member
-    of its scaling orbit in field enumeration order.  scaling_subgroup is
+    of its scaling orbit in field enumeration order, read on first access
+    from the vertex labels "a:b" of element indices.  scaling_subgroup is
     the order-t multiplicative subgroup used both for the orbits and for
-    the adjacency rule.  Both are computed on first access from the stored
-    element indices: class_indices holds the indices of every vertex's a,
-    then of every vertex's b, and subgroup_indices those of the subgroup.
+    the adjacency rule, rebuilt on first access from the field's tables.
     loops_removed lists vertices whose defining dot product with themselves
     landed in the subgroup.
     """
@@ -56,19 +55,18 @@ class FurediGraph:
     graph: Graph
     q: int
     t: int
-    class_indices: tuple[tuple[int, ...], tuple[int, ...]]
-    subgroup_indices: tuple[int, ...]
     loops_removed: tuple[int, ...]
 
     @functools.cached_property
     def classes(self) -> tuple[tuple[FieldElement, FieldElement], ...]:
         element = field_from_order(self.q).element
-        return tuple((element(a), element(b)) for a, b in zip(*self.class_indices))
+        return tuple((element(int(a)), element(int(b))) for a, b in (s.split(":") for s in self.graph.labels))
 
     @functools.cached_property
     def scaling_subgroup(self) -> tuple[FieldElement, ...]:
-        element = field_from_order(self.q).element
-        return tuple(element(i) for i in self.subgroup_indices)
+        spec = field_from_order(self.q)
+        tab = field_tables(spec)
+        return tuple(map(spec.element, tab.subgroup(tab.element_of_order(self.t), self.t).tolist()))
 
 
 @functools.lru_cache(maxsize=128)
@@ -157,15 +155,13 @@ def furedi_graph(q: int, t: int) -> FurediGraph:
     names, minima = _index_names(q), coset_min.tolist()
     labels = (*["0:" + names[c] for c in minima], *[head + name for head in [f"{c}:" for c in minima] for name in names])
     g, loops = _relation_graph(n, block_mask, labels)
-    class_indices = (tuple(a.tolist()), tuple(b.tolist()))
-    return FurediGraph(g, q, t, class_indices, tuple(sub.tolist()), loops)
+    return FurediGraph(g, q, t, loops)
 
 
 @dataclass(frozen=True)
 class SquareIdentityReport:
     holds: bool
     max_abs_residual: int
-    common_neighbor_counts: tuple[int, ...]  # sorted distinct off-diagonal values
     no_common_row_sums: tuple[int, ...]
     expected_row_sum: int
 
@@ -191,8 +187,7 @@ def furedi_square_identity(fg: FurediGraph) -> SquareIdentityReport:
     row_sums = tuple(int(s) for s in quo.sum(axis=1))
     expected_row = (fg.q - 1 - fg.t) // fg.t
     holds = bool(np.all(residual == 0)) and all(s == expected_row for s in row_sums)
-    counts = tuple(sorted(set(int(x) for x in a2[off].ravel())))
-    return SquareIdentityReport(holds, int(np.abs(residual).max()), counts, row_sums, expected_row)
+    return SquareIdentityReport(holds, int(np.abs(residual).max()), row_sums, expected_row)
 
 
 def polarity_graph_with_loops(q: int) -> tuple[Graph, tuple[int, ...]]:

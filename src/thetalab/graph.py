@@ -584,42 +584,8 @@ def graph_from_json(obj: dict) -> Graph:
     labels = obj.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise ValueError(f"labels must be a list, got {type(labels).__name__}")
+    for label in labels or ():
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a string, got {label!r}")
     return from_edges(json_int(obj["n"], "n"), edges, labels)
 
-
-def graph_to_text(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count()}"]
-    lines += [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
-
-
-def _text_int(token: str) -> int:
-    """An edge-list number: ASCII digits only, as in parse_pattern."""
-    if not re.fullmatch(r"[0-9]+", token):
-        raise ValueError(f"edge-list number must be ASCII digits, got {token!r}")
-    return int(token)
-
-
-def graph_from_text(text: str) -> Graph:
-    """Parse graph_to_text's format.
-
-    Lines end at "\n" or "\r\n" and tokens are separated by ASCII spaces
-    and tabs only, so any other separator (a no-break space, a Unicode line
-    separator, a lone "\r") stays inside a token and is refused.
-    """
-    lines = [(ln, re.findall(r"[^ \t]+", ln)) for ln in text.replace("\r\n", "\n").split("\n")]
-    lines = [(ln, tokens) for ln, tokens in lines if tokens]
-    if not lines:
-        raise ValueError("empty edge-list text")
-    (head_line, head), *edge_lines = lines
-    if len(head) != 2:
-        raise ValueError(f"edge-list header must be 'n m', got {head_line!r}")
-    n, m = _text_int(head[0]), _text_int(head[1])
-    if len(edge_lines) != m:
-        raise ValueError(f"header promises {m} edges, found {len(edge_lines)} edge lines")
-    edges = []
-    for ln, ends in edge_lines:
-        if len(ends) != 2:
-            raise ValueError(f"edge line must be 'u v', got {ln!r}")
-        edges.append((_text_int(ends[0]), _text_int(ends[1])))
-    return from_edges(n, edges)

@@ -66,12 +66,8 @@ def sym_from_dense(a) -> SymMatrix:
     return SymMatrix(sym)
 
 
-def adjacency_dense(g: Graph) -> np.ndarray:
-    return adjacency_rows(g).astype(np.float64)
-
-
 def adjacency_sym(g: Graph) -> SymMatrix:
-    return sym_from_dense(adjacency_dense(g))
+    return sym_from_dense(adjacency_rows(g))
 
 
 @dataclass(frozen=True, eq=False)

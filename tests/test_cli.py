@@ -367,6 +367,9 @@ def test_search_deeper_than_the_recursion_limit_exits_one(tmp_path, pattern, bui
     ([1, 2], "expected a JSON object, got list"),
     ("abc", "expected a JSON object, got str"),
     ({"n": 3, "edges": [], "labels": "abc"}, "labels must be a list, got str"),
+    ({"n": 2, "edges": [], "labels": [None, 1.5]}, "label must be a string, got None"),
+    ({"n": 2, "edges": [], "labels": ["a", 1.5]}, "label must be a string, got 1.5"),
+    ({"n": 1, "edges": [], "labels": [7]}, "label must be a string, got 7"),
 ])
 def test_non_integer_graph_json_exits_two(tmp_path, capsys, obj, needle):
     path = tmp_path / "g.json"
@@ -529,6 +532,21 @@ def test_package_reads_no_environment():
         assert not re.search(r"os\.environ|getenv", path.read_text()), path.name
 
 
+def test_package_uses_every_name_it_imports():
+    """No module imports a name it never reads.  constructions binds the clique unions it does not
+    call, because bench/tracer.py wraps thetalab.constructions.clique_union there."""
+    exempt = {("constructions.py", "clique_union"), ("constructions.py", "clique_union_parts")}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = {name for name in imported - read if (path.name, name) not in exempt}
+        assert not unused, (path.name, sorted(unused))
+
+
 def test_limits_are_module_constants():
     from thetalab.graph import chromatic_number_exact, contains_complete_bipartite, contains_cycle
     from thetalab.linalg import Spectrum, sym_from_dense
@@ -550,9 +568,9 @@ PACKAGE_EXPORTS = {
               "subgroup",
     "graph": "Graph LayerColoringReport bfs_layers chromatic_number_exact clique_union clique_union_parts complement "
              "complete_graph contains_clique contains_complete_bipartite contains_cycle contains_pattern cycle_graph "
-             "empty_graph from_edges graph_from_json graph_from_text graph_to_json graph_to_text induced_subgraph "
+             "empty_graph from_edges graph_from_json graph_to_json induced_subgraph "
              "layer_chromatic_check max_clique_size parse_pattern",
-    "linalg": "Spectrum SymMatrix adjacency_dense adjacency_sym eigen_sym eigvals_sym sym_from_dense",
+    "linalg": "Spectrum SymMatrix adjacency_sym eigen_sym eigvals_sym sym_from_dense",
     "constructions": "FurediGraph SquareIdentityReport furedi_graph furedi_square_identity polarity_graph "
                      "polarity_graph_with_loops",
     "ortho": "MsrChainReport OrthoRep RepValidation SchnirelmannReport TracePowerReport basis_rep_from_clique_cover "

@@ -5,8 +5,6 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from thetalab import graph as graph_module
 from thetalab.errors import (
@@ -14,13 +12,11 @@ from thetalab.errors import (
     IndexOutOfRange,
     LoopRejected,
     PreconditionViolated,
-    ThetalabError,
     UnsupportedPattern,
 )
 from thetalab.graph import (
     GRAPH_N_CAP,
     SEARCH_STEP_CAP,
-    Graph,
     bfs_layers,
     chromatic_number_exact,
     complement,
@@ -33,9 +29,7 @@ from thetalab.graph import (
     empty_graph,
     from_edges,
     graph_from_json,
-    graph_from_text,
     graph_to_json,
-    graph_to_text,
     induced_subgraph,
     layer_chromatic_check,
     max_clique_size,
@@ -78,7 +72,7 @@ def test_from_edges_refuses_above_vertex_cap(n):
     with pytest.raises(ComplexityRefused, match=f"n = {n} vertices, above the vertex cap {GRAPH_N_CAP}"):
         from_edges(n, [])
     with pytest.raises(ComplexityRefused):
-        graph_from_text(f"{n} 0\n")
+        graph_from_json({"n": n, "edges": []})
 
 
 def test_from_edges_builds_at_vertex_cap():
@@ -502,78 +496,3 @@ def test_json_labels():
     obj = graph_to_json(g)
     assert obj["labels"] == ["a", "b"]
     assert graph_from_json(obj).labels == ("a", "b")
-
-
-def test_text_roundtrip():
-    g = cycle_graph(5)
-    text = graph_to_text(g)
-    assert text.splitlines()[0] == "5 5"
-    g2 = graph_from_text(text)
-    assert g2 == from_edges(5, g.edges())
-
-
-def test_text_header_without_edge_count_is_value_error():
-    with pytest.raises(ValueError, match="header must be 'n m'"):
-        graph_from_text("3\n")
-
-
-@pytest.mark.parametrize("text, message", [
-    ("3 1 junk\n0 1\n", "header must be 'n m'"),
-    ("3 1\n0 1\n1 2\n", "header promises 1 edges, found 2 edge lines"),
-    ("3 2\n0 1\n", "header promises 2 edges, found 1 edge lines"),
-    ("3 1\n0 1 2\n", "edge line must be 'u v', got '0 1 2'"),
-    ("3 1\n0\n", "edge line must be 'u v', got '0'"),
-    ("1_0 0\n", "must be ASCII digits, got '1_0'"),
-    ("\u0665 0\n", "must be ASCII digits, got '\u0665'"),
-    ("+3 0\n", "must be ASCII digits, got '\\+3'"),
-    ("3 +0\n", "must be ASCII digits, got '\\+0'"),
-    ("3 1\n0 -1\n", "must be ASCII digits, got '-1'"),
-    ("3 1\n\uff10 1\n", "must be ASCII digits, got '\uff10'"),
-    ("3 1\n0 1.0\n", "must be ASCII digits, got '1.0'"),
-    ("3 1\u20280\xa01\n", r"must be ASCII digits, got '1\\u20280\\xa01'"),
-])
-def test_text_rejects_unexpected_input(text, message):
-    with pytest.raises(ValueError, match=message):
-        graph_from_text(text)
-
-
-def test_text_splits_on_ascii_separators_only():
-    assert graph_from_text("3 1\r\n0\t 1\n\t\n") == from_edges(3, [(0, 1)])
-    # str.splitlines and str.split also break at these; the edge-list format does not
-    for sep in ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\xa0", "\u1680", "\u2003", "\u2028", "\u2029",
-                "\u3000"):
-        for text in (f"3 1{sep}0 1\n", f"3 1\n0{sep}1\n"):
-            with pytest.raises(ValueError):
-                graph_from_text(text)
-
-
-_TOKENS = st.one_of(st.integers(-2, 9).map(str),
-                    st.sampled_from(["junk", "1.5", "0x1", "1_0", "+2", "-0", "\u0663", "1e1", "nan", "\x00"]))
-
-
-@st.composite
-def edge_list_texts(draw):
-    """Near-valid edge lists: small vertex ids, a count off by at most one, stray tokens."""
-    n = draw(st.integers(-1, 8))
-    ids = st.integers(-1, max(n, 0))
-    pairs = draw(st.lists(st.tuples(ids, ids), max_size=6))
-    lines = [f"{n} {len(pairs) + draw(st.sampled_from([0, 0, 0, -1, 1]))}"] + [f"{u} {v}" for u, v in pairs]
-    for _ in range(draw(st.integers(0, 2))):
-        k = draw(st.integers(0, len(lines) - 1))
-        lines[k] = " ".join(draw(st.lists(_TOKENS, max_size=4)))
-    return draw(st.sampled_from(["\n", "\r\n", "\n \n"])).join(lines)
-
-
-# free text without decimal digits, so no header asks for a huge vertex count
-_FREE_TEXT = st.text(st.characters(blacklist_categories=("Nd",)), max_size=20)
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(st.one_of(edge_list_texts(), _FREE_TEXT))
-def test_text_loader_fuzz(text):
-    try:
-        g = graph_from_text(text)
-    except (ValueError, ThetalabError):
-        return
-    assert isinstance(g, Graph)
-    assert graph_from_text(graph_to_text(g)) == g

@@ -15,7 +15,6 @@ from thetalab.linalg import (
     Spectrum,
     SymMatrix,
     _ql_implicit,
-    adjacency_dense,
     adjacency_sym,
     eigen_sym,
     eigh_dense,
@@ -214,7 +213,7 @@ def test_trace_power_examples():
     assert eigvals_sym(sym_from_dense(np.eye(3))).power_sum(5) == pytest.approx(3.0)
     assert eigvals_sym(adjacency_sym(cycle_graph(5))).power_sum(2) == pytest.approx(10.0, abs=1e-9)
     # oracle: direct cube of adjacency(K4); diagonal of A^3 counts closed 3-walks
-    a = adjacency_dense(complete_graph(4))
+    a = adjacency_sym(complete_graph(4)).dense()
     assert np.trace(a @ a @ a) == pytest.approx(24.0)
     assert eigvals_sym(adjacency_sym(complete_graph(4))).power_sum(3) == pytest.approx(24.0, abs=1e-8)
 

@@ -34,6 +34,7 @@ from thetalab.ffield import element_of_order, field_from_order, field_tables, pr
 from thetalab.graph import (
     Graph,
     _bits,
+    adjacency_rows,
     chromatic_number_exact,
     complement,
     contains_complete_bipartite,
@@ -42,7 +43,7 @@ from thetalab.graph import (
     from_edges,
     induced_subgraph,
 )
-from thetalab.linalg import adjacency_dense, eigen_sym, eigh_dense, sym_from_dense
+from thetalab.linalg import adjacency_sym, eigen_sym, eigh_dense, sym_from_dense
 from thetalab.ortho import (
     OrthoRep,
     RepValidation,
@@ -250,7 +251,7 @@ def k2s_pair_loop(g, s):
     return any((g.adj[u] & g.adj[v]).bit_count() >= s for u in range(g.n) for v in range(u + 1, g.n))
 
 
-def adjacency_dense_loop(g):
+def adjacency_loop(g):
     a = np.zeros((g.n, g.n))
     for u, v in g.edges():
         a[u, v] = a[v, u] = 1.0
@@ -798,9 +799,10 @@ def test_codegree_search_matches_dfs_and_pair_loop(g, s):
 @given(search_graphs())
 @example(empty_graph(0))
 @example(empty_graph(1))
-def test_adjacency_dense_matches_edge_loop(g):
-    a = adjacency_dense(g)
-    assert a.dtype == np.float64 and np.array_equal(a, adjacency_dense_loop(g))
+def test_adjacency_rows_and_sym_match_edge_loop(g):
+    rows, sym = adjacency_rows(g), adjacency_sym(g).dense()
+    assert rows.dtype == np.uint8 and sym.dtype == np.float64
+    assert np.array_equal(rows, adjacency_loop(g)) and np.array_equal(sym, adjacency_loop(g))
 
 
 TILE_N = 13  # with 3 rows per tile: tiles 0-2, 3-5, 6-8, 9-11 and 12
