@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderUnavailable
-from .ffield import FieldElement, field_from_order, field_tables, order_split, require_order
+from .ffield import FieldElement, element_of_order, field_from_order, field_tables, order_split, require_order, subgroup
 from .graph import Graph, adjacency_rows, from_row_blocks, refuse_above_vertex_cap
 from .graph import clique_union, clique_union_parts  # bound here too: see the module docstring
 
@@ -47,9 +47,10 @@ class FurediGraph:
     of its scaling orbit in field enumeration order, read on first access
     from the vertex labels "a:b" of element indices.  scaling_subgroup is
     the order-t multiplicative subgroup used both for the orbits and for
-    the adjacency rule, rebuilt on first access from the field's tables.
-    loops_removed lists vertices whose defining dot product with themselves
-    landed in the subgroup.
+    the adjacency rule, rebuilt on first access by ffield.element_of_order
+    and ffield.subgroup.  loops_removed lists vertices whose defining dot
+    product with themselves landed in the subgroup; adjacency_with_loops
+    restores them.
     """
 
     graph: Graph
@@ -65,8 +66,14 @@ class FurediGraph:
     @functools.cached_property
     def scaling_subgroup(self) -> tuple[FieldElement, ...]:
         spec = field_from_order(self.q)
-        tab = field_tables(spec)
-        return tuple(map(spec.element, tab.subgroup(tab.element_of_order(self.t), self.t).tolist()))
+        return subgroup(spec, element_of_order(spec, self.t), self.t)
+
+    def adjacency_with_loops(self) -> np.ndarray:
+        """The loop-included adjacency matrix: adjacency_rows with a 1 at each removed loop."""
+        a = adjacency_rows(self.graph)
+        loops = list(self.loops_removed)
+        a[loops, loops] = 1
+        return a
 
 
 @functools.lru_cache(maxsize=128)
@@ -120,28 +127,24 @@ def furedi_graph(q: int, t: int) -> FurediGraph:
     n = (q * q - 1) // t
     refuse_above_vertex_cap(n)
     tab = field_tables(field_from_order(q))
-    sub = tab.subgroup(tab.element_of_order(t), t)
+    k = (q - 1) // t
+    # H is every k-th power of the generator: the unique order-t subgroup
     in_sub = np.zeros(q, dtype=bool)
-    in_sub[sub] = True
+    in_sub[tab.antilog[: q - 1 : k]] = True
 
     # smallest index of each coset of H, ascending: coset r is column r of
-    # the antilog period read as t rows of (q - 1)/t
-    coset_min = np.sort(tab.antilog[: q - 1].reshape(t, -1).min(axis=0))
-    k = len(coset_min)
-    assert k * (q + 1) == n
-    a = np.zeros(n, dtype=np.intp)
-    b = np.empty(n, dtype=np.intp)
-    a[k:].reshape(k, q)[:] = coset_min[:, None]
-    b[:k] = coset_min
-    b[k:].reshape(k, q)[:] = np.arange(q)
+    # the antilog period read as t rows of k
+    coset_min = np.sort(tab.antilog[: q - 1].reshape(t, k).min(axis=0))
 
-    # The columns are (0, m) for each coset minimum m, then (m, b') for each
-    # m and every element b', so a block needs only its rows' products with
-    # the coset minima and with every element, encoded for the test of
-    # a·m + b·b' against H.
+    # The rows and columns are (0, m) for each coset minimum m, then (m, b')
+    # for each m and every element b', so a block needs only its rows'
+    # products with the coset minima and with every element, encoded for
+    # the test of a·m + b·b' against H.
     sum_in_sub = tab.sum_test(in_sub)
     coded_antilog = sum_in_sub.encode(tab.antilog)
-    log_a, log_b, log_min = tab.log[a], tab.log[b], tab.log[coset_min]
+    log_min = tab.log[coset_min]
+    log_a = np.concatenate([np.full(k, tab.log[0]), np.repeat(log_min, q)])
+    log_b = np.concatenate([log_min, np.tile(tab.log, k)])
 
     def block_mask(s, e):
         la, lb = log_a[s:e, None], log_b[s:e, None]
@@ -169,16 +172,13 @@ class SquareIdentityReport:
 def furedi_square_identity(fg: FurediGraph) -> SquareIdentityReport:
     """Check A^2 == (q - t) I + t J - t Q on the loop-included adjacency.
 
-    A is rebuilt with loop entries restored, since the identity concerns
-    the incidence counts before loop removal.  Q marks distinct pairs with
+    A is fg.adjacency_with_loops(), since the identity concerns the
+    incidence counts before loop removal.  Q marks distinct pairs with
     no common neighbor and must have (q - 1 - t)/t ones per row.  All
     arithmetic is int64, so equality is exact.
     """
-    g = fg.graph
-    n = g.n
-    a = adjacency_rows(g).astype(np.int64)
-    loops = list(fg.loops_removed)
-    a[loops, loops] = 1
+    n = fg.graph.n
+    a = fg.adjacency_with_loops().astype(np.int64)
     a2 = a @ a
     off = ~np.eye(n, dtype=bool)
     quo = np.where(off & (a2 == 0), 1, 0).astype(np.int64)

@@ -154,10 +154,7 @@ def _run_furedi_spectral(seed: int):
                 "theta_spectral_lower_of_complement",
                 f"{tag}: 1 - lambda_1/lambda_n >= 2.236 on the loop-removed matrix",
                 ">= 2.236", low, 1e-9, low >= 2.236 - 1e-9))
-            a = graph.adjacency_rows(g)
-            loops = list(fg.loops_removed)
-            a[loops, loops] = 1
-            vals = linalg.eigvals_sym(linalg.sym_from_dense(a)).eigenvalues
+            vals = linalg.eigvals_sym(linalg.sym_from_dense(fg.adjacency_with_loops())).eigenvalues
             loopful = 1.0 - vals[0] / vals[-1]
             checks.append(_chk(
                 "theta_spectral_lower_of_complement",

@@ -296,9 +296,10 @@ class FieldTables:
     identity.  So add is one gather, fold[code[a] + code[b]] (a xor for
     p = 2), and sum_test folds a membership test into that gather.  The
     largest fold under the vertex cap is 5^9 entries, about 16 MB,
-    for q = 3^9; every other table has O(q) entries.  order[i] is the
-    multiplicative order of element i (order[0] = 0).  mul, add and neg act
-    elementwise on index arrays of any shape.
+    for q = 3^9; every other table has O(q) entries.  mul, add and neg act
+    elementwise on index arrays of any shape.  The order-t subgroup of
+    GF(q)* is every ((q-1)/t)-th entry of the antilog period; as field
+    elements it is subgroup(spec, element_of_order(spec, t), t).
     """
 
     p: int
@@ -307,7 +308,6 @@ class FieldTables:
     antilog: np.ndarray
     code: np.ndarray
     fold: np.ndarray
-    order: np.ndarray
 
     def mul(self, a, b) -> np.ndarray:
         return self.antilog[self.log[a] + self.log[b]]
@@ -325,15 +325,6 @@ class FieldTables:
     def sum_test(self, members: np.ndarray) -> SumTest:
         """Test of a + b against the elements where the boolean mask members holds."""
         return SumTest(self, members[self.fold])
-
-    def element_of_order(self, t: int) -> int:
-        """Index of the first element of multiplicative order exactly t; t | q-1."""
-        require_order(self.q, t)
-        return int(np.argmax(self.order == t))
-
-    def subgroup(self, h: int, t: int) -> np.ndarray:
-        """Indices of 1, h, ..., h^(t-1) for an element h of order t."""
-        return self.antilog[np.arange(t) * int(self.log[h]) % (self.q - 1)]
 
 
 @dataclass(frozen=True)
@@ -363,7 +354,7 @@ class SumTest:
 
 @functools.lru_cache(maxsize=128)
 def field_tables(spec: FieldSpec) -> FieldTables:
-    """Log/antilog, code/fold and order tables of a field, built with
+    """Log/antilog and code/fold tables of a field, built with
     FieldSpec arithmetic and kept for the 128 most recently used fields."""
     p, q = spec.p, spec.q
     g = element_of_order(spec, q - 1)
@@ -383,9 +374,6 @@ def field_tables(spec: FieldSpec) -> FieldTables:
     for k in range(spec.alpha):  # digit k is the slowest axis of both tables
         code = (np.arange(p, dtype=np.intp)[:, None] * w**k + code).ravel()
         fold = (np.arange(w, dtype=np.intp)[:, None] % p * p**k + fold).ravel()
-    # g^k has order (q - 1)/gcd(k, q - 1); zero gets 0, which no t >= 1 matches
-    order = np.zeros(q, dtype=np.intp)
-    order[1:] = (q - 1) // np.gcd(log[1:], q - 1)
-    for table in (log, antilog, code, fold, order):
+    for table in (log, antilog, code, fold):
         table.flags.writeable = False  # shared by every caller through the cache
-    return FieldTables(p, q, log, antilog, code, fold, order)
+    return FieldTables(p, q, log, antilog, code, fold)

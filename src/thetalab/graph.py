@@ -152,7 +152,7 @@ def from_edges(n: int, edges, labels=None) -> Graph:
     """Build a simple graph; duplicate edges collapse, loops are rejected.
 
     n above GRAPH_N_CAP is refused with ComplexityRefused before anything
-    is allocated.
+    is allocated.  Labels, if given, must be n strings (ValueError).
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -166,7 +166,10 @@ def from_edges(n: int, edges, labels=None) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     if labels is not None:
-        labels = tuple(str(s) for s in labels)
+        labels = tuple(labels)
+        for label in labels:
+            if not isinstance(label, str):
+                raise ValueError(f"label must be a string, got {label!r}")
         if len(labels) != n:
             raise ValueError("labels length must equal n")
     return Graph(n, tuple(adj), labels)
@@ -584,8 +587,5 @@ def graph_from_json(obj: dict) -> Graph:
     labels = obj.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise ValueError(f"labels must be a list, got {type(labels).__name__}")
-    for label in labels or ():
-        if not isinstance(label, str):
-            raise ValueError(f"label must be a string, got {label!r}")
     return from_edges(json_int(obj["n"], "n"), edges, labels)
 

@@ -12,7 +12,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from thetalab.constructions import furedi_graph, furedi_square_identity, polarity_graph
 from thetalab.errors import HandleOrthogonalToVector, NoEdges

@@ -6,7 +6,6 @@ import importlib
 import importlib.util
 import inspect
 import json
-import math
 import os
 import re
 import subprocess
@@ -533,10 +532,10 @@ def test_package_reads_no_environment():
 
 
 def test_package_uses_every_name_it_imports():
-    """No module imports a name it never reads.  constructions binds the clique unions it does not
-    call, because bench/tracer.py wraps thetalab.constructions.clique_union there."""
+    """No module of the package or of its tests imports a name it never reads.  constructions binds
+    the clique unions it does not call, because bench/tracer.py wraps thetalab.constructions.clique_union there."""
     exempt = {("constructions.py", "clique_union"), ("constructions.py", "clique_union_parts")}
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
+    for path in [*sorted(PACKAGE_DIR.glob("*.py")), *sorted(Path(__file__).parent.glob("*.py"))]:
         tree = ast.parse(path.read_text())
         imported = {(alias.asname or alias.name).partition(".")[0]
                     for node in ast.walk(tree)

@@ -7,7 +7,6 @@ import pytest
 
 from thetalab import graph
 from thetalab.constructions import (
-    FurediGraph,
     clique_union,
     clique_union_parts,
     furedi_graph,

@@ -12,8 +12,6 @@ from thetalab import linalg
 from thetalab.errors import ConvergenceFailure
 from thetalab.graph import complete_graph, cycle_graph
 from thetalab.linalg import (
-    Spectrum,
-    SymMatrix,
     _ql_implicit,
     adjacency_sym,
     eigen_sym,
