@@ -141,7 +141,7 @@ def furedi_graph(q: int, t: int) -> FurediGraph:
     # products with the coset minima and with every element, encoded for
     # the test of a·m + b·b' against H.
     sum_in_sub = tab.sum_test(in_sub)
-    coded_antilog = sum_in_sub.encode(tab.antilog)
+    coded_antilog = tab.code[tab.antilog]
     log_min = tab.log[coset_min]
     log_a = np.concatenate([np.full(k, tab.log[0]), np.repeat(log_min, q)])
     log_b = np.concatenate([log_min, np.tile(tab.log, k)])

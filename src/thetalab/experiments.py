@@ -273,7 +273,7 @@ def _run_msr_cycle(seed: int):
     first_miss = None
     for n, t in grid:
         s = t - 1
-        # the certificate searched clique_union(n, s) for C_t and validated rep; it raises otherwise
+        # the certificate searched clique_union(n, s) for C_t (it raises otherwise); the chain check validates rep
         rep, g = ortho.msr_upper_certificate(n, s, f"C{t}")
         free_n += 1
         valid_n += rep.d == -(-n // s)

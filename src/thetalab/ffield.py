@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +103,6 @@ def _poly_mod(a, m, p):
     return a
 
 
-def _poly_divisible(a, b, p):
-    """True if monic b divides a exactly."""
-    return not _poly_mod(a, b, p)
-
-
 def _monic_polys(degree, p):
     """All monic polynomials of the given degree, ascending lex (low degree first)."""
     for tail in itertools.product(range(p), repeat=degree):
@@ -118,7 +114,7 @@ def _is_irreducible(m, p):
     deg = len(m) - 1
     for d in range(1, deg // 2 + 1):
         for cand in _monic_polys(d, p):
-            if _poly_divisible(m, cand, p):
+            if not _poly_mod(m, cand, p):
                 return False
     return True
 
@@ -294,7 +290,8 @@ class FieldTables:
     (each digit sum mod p).  On a prime field the code is the identity.  For
     p = 2 the code is the index, codes combine by xor, and fold is the
     identity.  So add is one gather, fold[code[a] + code[b]] (a xor for
-    p = 2), and sum_test folds a membership test into that gather.  The
+    p = 2).  sum_test folds a membership test into fold and returns a
+    function of two codes: callers encode with code once and test many.  The
     largest fold under the vertex cap is 5^9 entries, about 16 MB,
     for q = 3^9; every other table has O(q) entries.  mul, add and neg act
     elementwise on index arrays of any shape.  The order-t subgroup of
@@ -303,7 +300,6 @@ class FieldTables:
     """
 
     p: int
-    q: int
     log: np.ndarray
     antilog: np.ndarray
     code: np.ndarray
@@ -322,34 +318,17 @@ class FieldTables:
     def neg(self, a) -> np.ndarray:
         return self.mul(self.p - 1, a)  # -1 has digit 0 equal to p - 1, the rest 0
 
-    def sum_test(self, members: np.ndarray) -> SumTest:
-        """Test of a + b against the elements where the boolean mask members holds."""
-        return SumTest(self, members[self.fold])
+    def sum_test(self, members: np.ndarray) -> Callable[..., np.ndarray]:
+        """Test of a + b against the elements where the boolean mask members holds:
+        a function of the codes x = code[a], y = code[b], broadcast together,
+        that is one add and one gather.  With out, a boolean array of the
+        broadcast shape, it gathers into out and returns it."""
+        hit = members[self.fold]  # per code sum: whether the element it folds to is a member
 
+        def test(x, y, out=None) -> np.ndarray:
+            return np.take(hit, self._code_sum(x, y), out=out)
 
-@dataclass(frozen=True)
-class SumTest:
-    """Whether a + b lies in a fixed set of field elements, for many pairs.
-
-    encode turns element indices into additive codes, and the test of two
-    codes is one add and one gather.  Encode each operand once, or encode a
-    table such as antilog and gather from it, then test many pairs.
-    """
-
-    tab: FieldTables
-    hit: np.ndarray  # per code sum: whether the element it folds to is a member
-
-    def encode(self, a) -> np.ndarray:
-        return self.tab.code[a]
-
-    def __call__(self, x, y, out=None) -> np.ndarray:
-        """The boolean test of every code pair x, y (broadcast together).
-
-        With out, a boolean array of the broadcast shape (a view into a
-        larger block, say), the result is gathered into it and out is
-        returned.
-        """
-        return np.take(self.hit, self.tab._code_sum(x, y), out=out)
+        return test
 
 
 @functools.lru_cache(maxsize=128)
@@ -376,4 +355,4 @@ def field_tables(spec: FieldSpec) -> FieldTables:
         fold = (np.arange(w, dtype=np.intp)[:, None] % p * p**k + fold).ravel()
     for table in (log, antilog, code, fold):
         table.flags.writeable = False  # shared by every caller through the cache
-    return FieldTables(p, q, log, antilog, code, fold)
+    return FieldTables(p, log, antilog, code, fold)

@@ -208,6 +208,8 @@ def clique_union_parts(n: int, t: int) -> tuple[tuple[int, ...], ...]:
 
 
 def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise PreconditionViolated("cycle length must be >= 3")
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 

@@ -241,7 +241,8 @@ def msr_upper_certificate(n: int, t: int, pattern: str) -> tuple[OrthoRep, Graph
     t is the clique size (one less than the cycle length for C_k patterns).
     Builds clique_union(n, t), verifies the requested freeness with
     contains_pattern (cycle and clique patterns only), and returns
-    the ceil(n/t)-dimensional basis representation with the graph.
+    the ceil(n/t)-dimensional basis representation with the graph, exactly
+    valid because basis_rep_from_clique_cover checks that each part is a clique.
     """
     kind, _ = parse_pattern(pattern)
     g = clique_union(n, t)
@@ -249,9 +250,7 @@ def msr_upper_certificate(n: int, t: int, pattern: str) -> tuple[OrthoRep, Graph
         raise UnsupportedPattern(f"cannot certify freeness for {pattern!r}")
     if contains_pattern(g, pattern):
         raise PreconditionViolated(f"clique_union({n},{t}) contains {pattern}")
-    rep = basis_rep_from_clique_cover(g, clique_union_parts(n, t))
-    require_valid_rep(rep, g)
-    return rep, g
+    return basis_rep_from_clique_cover(g, clique_union_parts(n, t)), g
 
 
 @dataclass(frozen=True)

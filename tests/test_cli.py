@@ -546,6 +546,30 @@ def test_package_uses_every_name_it_imports():
         assert not unused, (path.name, sorted(unused))
 
 
+def test_package_reads_every_private_name_it_defines():
+    """No module-level private function, class or constant of the package goes unread by the package."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    for name, tree in trees.items():
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        unread = {d for d in defined if d.startswith("_") and not d.startswith("__")} - read
+        assert not unread, (name, sorted(unread))
+
+
 def test_limits_are_module_constants():
     from thetalab.graph import chromatic_number_exact, contains_complete_bipartite, contains_cycle
     from thetalab.linalg import Spectrum, sym_from_dense

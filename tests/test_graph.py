@@ -92,6 +92,9 @@ def test_duplicate_edges_collapse():
 
 def test_c5_degrees():
     assert cycle_graph(5).degrees() == [2] * 5
+    for n in (0, 1, 2):
+        with pytest.raises(PreconditionViolated, match="cycle length must be >= 3"):
+            cycle_graph(n)
 
 
 def test_adjacency_symmetric():

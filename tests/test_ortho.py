@@ -240,13 +240,18 @@ def test_schnirelmann_random_psd():
         assert rep.slack >= -1e-6 * max(1.0, rep.lhs, rep.rhs)
 
 
-def test_msr_upper_certificate_cases():
-    rep, g = msr_upper_certificate(10, 3, "C4")
-    assert rep.d == 4 and g == clique_union(10, 3) and not contains_cycle(g, 4)
-    rep, g = msr_upper_certificate(7, 2, "K3")
-    assert rep.d == 4
-    rep, g = msr_upper_certificate(6, 2, "C3")
-    assert rep.d == 3
+def test_msr_upper_certificate_cases(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the msr certificate formed a Gram matrix")
+
+    with monkeypatch.context() as m:
+        m.setattr(ortho_mod, "gram", refuse)
+        certs = [msr_upper_certificate(10, 3, "C4"), msr_upper_certificate(7, 2, "K3"),
+                 msr_upper_certificate(6, 2, "C3")]
+    assert [rep.d for rep, _ in certs] == [4, 4, 3]
+    assert certs[0][1] == clique_union(10, 3) and not contains_cycle(certs[0][1], 4)
+    for rep, g in certs:
+        assert validate_rep(rep, g).max_residual == 0.0
     with pytest.raises(UnsupportedPattern):
         msr_upper_certificate(6, 2, "K2,3")
     with pytest.raises(PreconditionViolated):

@@ -746,7 +746,13 @@ def test_table_neg_and_sum_test_match_field_spec(q):
     units = [f.index(h) for h in subgroup(f, element_of_order(f, q - 1), q - 1)]
     for members in (x % 3 == 0, np.isin(x, units)):
         test = tab.sum_test(members)
-        assert np.array_equal(test(test.encode(a), test.encode(b)), members[tab.add(a, b)])
+        expected = members[tab.add(a, b)]
+        assert np.array_equal(test(tab.code[a], tab.code[b]), expected)
+        # out= gathers into a preallocated boolean view, as furedi_graph's block does, and returns it
+        block = np.zeros((2, q * q), dtype=bool)
+        view = block[1]
+        assert test(tab.code[a], tab.code[b], out=view) is view
+        assert np.array_equal(block[1], expected) and not block[0].any()
 
 
 @pytest.mark.parametrize("q", [q for q in _prime_powers(729) if q % 2 and q not in prime_factors(q)])
