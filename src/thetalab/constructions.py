@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderUnavailable
 from .ffield import FieldElement, element_of_order, field_from_order, field_tables, order_split, require_order, subgroup
 from .graph import Graph, adjacency_rows, from_row_blocks, refuse_above_vertex_cap
 from .graph import clique_union, clique_union_parts  # bound here too: see the module docstring
@@ -120,8 +119,6 @@ def furedi_graph(q: int, t: int) -> FurediGraph:
     m and every b.  classes lists them in lexicographic order, which is
     their order of first appearance when enumerating pairs.
     """
-    if t < 1:
-        raise OrderUnavailable(f"subgroup order must be >= 1, got {t}")
     order_split(q)  # refuse a bad order, then an oversized graph, before the modulus search
     require_order(q, t)
     n = (q * q - 1) // t

@@ -520,6 +520,8 @@ def _check_known(name: str) -> None:
 
 def run_experiment(name: str, seed: int = 0) -> ExperimentReport:
     _check_known(name)
+    if seed < 0:
+        raise PreconditionViolated(f"experiment seed must be >= 0, got {seed}")
     start = time.perf_counter()
     parameters, checks = _RUNNERS[name](seed)
     runtime_ms = int((time.perf_counter() - start) * 1000)

@@ -192,7 +192,7 @@ def clique_union(n: int, t: int) -> Graph:
     without v's own.
     """
     if n < 1 or t < 1:
-        raise ValueError("need n >= 1 and t >= 1")
+        raise PreconditionViolated(f"clique union needs n >= 1 and t >= 1, got n = {n}, t = {t}")
     refuse_above_vertex_cap(n)
     rows = []
     for start in range(0, n, t):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, PreconditionViolated
 from .graph import Graph, adjacency_rows
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -256,7 +256,7 @@ def eigh_dense(a: np.ndarray, vectors: bool = True):
 def eigen_sym(m: SymMatrix) -> Spectrum:
     """Full eigendecomposition with residual certificate."""
     if m.n < 1:
-        raise ValueError("need n >= 1")
+        raise PreconditionViolated("spectrum needs n >= 1: the empty matrix has no eigenvalues")
     a = m.dense()
     vals, vecs = eigh_dense(a)
     resid = float(np.max(np.linalg.norm(a @ vecs - vecs * vals, axis=0)))
@@ -266,7 +266,7 @@ def eigen_sym(m: SymMatrix) -> Spectrum:
 def eigvals_sym(m: SymMatrix) -> Spectrum:
     """Eigenvalues only, descending; eigenvectors and residual are None."""
     if m.n < 1:
-        raise ValueError("need n >= 1")
+        raise PreconditionViolated("spectrum needs n >= 1: the empty matrix has no eigenvalues")
     return Spectrum(eigh_dense(m.dense(), vectors=False)[0], None, None)
 
 

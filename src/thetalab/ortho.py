@@ -224,8 +224,6 @@ class SchnirelmannReport:
 
 def schnirelmann_check(m: SymMatrix) -> SchnirelmannReport:
     """tr(M)^2 <= rank(M) * tr(M^2), with slack reported."""
-    if m.n == 0:
-        raise PreconditionViolated("schnirelmann check needs n >= 1: the empty matrix has no spectrum")
     tr = float(np.trace(m.dense()))
     lhs = tr * tr
     spec = eigvals_sym(m)
@@ -336,8 +334,6 @@ def trace_power_certificate(rep: OrthoRep, g: Graph, t: int, parity: str) -> Tra
     bound = cycle_free_bound(parity, t, g.n)
     if power > POWER_SUM_MAX:
         raise PreconditionViolated(f"trace power {power} for t = {t} is above the power-sum limit {POWER_SUM_MAX}")
-    if g.n == 0:
-        raise PreconditionViolated("trace-power certificate needs n >= 1: the empty matrix has no top eigenvalue")
     spec = eigvals_sym(require_valid_rep(rep, g))
     tv = spec.power_sum(power)
     trace_ok = tv <= bound + REP_TOL * max(1.0, bound)

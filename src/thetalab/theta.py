@@ -16,7 +16,6 @@ correction term's edge pattern whenever that candidate is better).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,19 +257,13 @@ def bound_formula_check(g: Graph, parity: str, t: int) -> BoundFormulaReport:
     """Check theta(complement) against the closed-form cycle-freeness bound.
 
     odd parity: g must be C_{2t+1}-free; bound ((6t)^{2t} n)^(1/(2t+1)).
-    even parity: g must be C_{2t}-free; bound 12 t n^(1/(2t)).
+    even parity: g must be C_{2t}-free; bound ((12t)^{2t} n)^(1/(2t)).
     Above the solver cap only the spectral lower bound is available, so a
     pass is then merely "no violation witnessed".
     """
     n = g.n
-    ortho.require_cycle_free(g, parity, t)
-    if parity == "odd":
-        formula = ortho.cycle_free_bound(parity, t, n) ** (1.0 / (2 * t + 1))
-    elif 12 * t <= sys.float_info.max:
-        formula = 12 * t * n ** (1.0 / (2 * t))
-    else:  # a t beyond the float64 range is named by its bit length: Python refuses a decimal of over 4300 digits
-        shown = f"12*{t}*n^(1/{2 * t})" if t <= sys.float_info.max else f"12*t*n^(1/(2t)) for a {t.bit_length()}-bit t"
-        raise PreconditionViolated(f"even-parity bound {shown} exceeds the float64 limit {sys.float_info.max!r}")
+    power = ortho.require_cycle_free(g, parity, t)
+    formula = ortho.cycle_free_bound(parity, t, n) ** (1.0 / power)
     if n <= SOLVER_N_CAP:
         value = theta_sdp(complement(g)).upper
         certified = True

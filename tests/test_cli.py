@@ -140,8 +140,8 @@ def test_rep_validate_accepts_the_empty_representation(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("check, code, needle", [
-    (["--check", "schnirelmann"], 2, "error: schnirelmann check needs n >= 1"),
-    (["--check", "trace-power", "--t", "1", "--parity", "odd"], 2, "error: trace-power certificate needs n >= 1"),
+    (["--check", "schnirelmann"], 2, "error: spectrum needs n >= 1"),
+    (["--check", "trace-power", "--t", "1", "--parity", "odd"], 2, "error: spectrum needs n >= 1"),
     (["--check", "msr-chain", "--t", "1"], 0, "tr(M^2): 0\n"),
 ], ids=["schnirelmann", "trace-power", "msr-chain"])
 def test_rep_certify_on_the_empty_representation(tmp_path, capsys, check, code, needle):
@@ -234,9 +234,9 @@ def test_verify_parallel_flag_is_a_usage_error():
 
 
 @pytest.mark.parametrize("argv, needle", [
-    (["construct", "cliques", "--n", "0", "--t", "1"], "--n >= 1"),
-    (["construct", "cliques", "--n", "4", "--t", "-2"], "--t >= 1"),
-    (["verify", "paper", "--experiment", "schnirelmann", "--seed", "-1"], "--seed >= 0"),
+    (["construct", "cliques", "--n", "0", "--t", "1"], "clique union needs n >= 1 and t >= 1, got n = 0, t = 1"),
+    (["construct", "cliques", "--n", "4", "--t", "-2"], "clique union needs n >= 1 and t >= 1, got n = 4, t = -2"),
+    (["verify", "paper", "--experiment", "schnirelmann", "--seed", "-1"], "experiment seed must be >= 0, got -1"),
 ], ids=["argv0---n >= 1", "argv1---t >= 1", "argv2---seed >= 0"])  # fixed ids: rewording a message renames no case
 def test_bad_parameters_exit_two(capsys, argv, needle):
     code, out, err = run(capsys, argv)
@@ -295,7 +295,7 @@ def test_bad_parameters_exit_two(capsys, argv, needle):
                  "n = 99999999999 vertices, above the vertex cap 20000",
                  id="args17-n = 99999999999 vertices, above the vertex cap 20000"),
     # a 0-vertex graph has no spectrum; this ended in a ValueError traceback
-    pytest.param(["spectrum", "--graph", "{zero_n}"], "graph must have at least one vertex",
+    pytest.param(["spectrum", "--graph", "{zero_n}"], "spectrum needs n >= 1: the empty matrix has no eigenvalues",
                  id="args18-graph must have at least one vertex"),
     # refused before the bound's power is computed; these ended in an OverflowError traceback and a hang
     pytest.param(["rep", "certify", "--file", "{rep}", "--check", "trace-power", "--t", "200", "--parity", "odd"],
@@ -314,6 +314,11 @@ def test_bad_parameters_exit_two(capsys, argv, needle):
     # the C7 search of K_{8,8} takes 45,760 walk steps, above the cap of 10^4 set below
     pytest.param(["check", "free", "--pattern", "C7", "--graph", "{k88}"],
                  "C7 search exceeds the step cap 10000", id="cycle-search-above-the-step-cap"),
+    # json.load recurses once per nesting level; these ended in a RecursionError traceback with exit 1
+    pytest.param(["check", "free", "--pattern", "C3", "--graph", "{deep_labels}"],
+                 "deep_labels.json: maximum recursion depth exceeded", id="labels-nested-50000-deep"),
+    pytest.param(["spectrum", "--graph", "{deep_open}"],
+                 "deep_open.json: maximum recursion depth exceeded", id="100000-unclosed-brackets"),
 ])
 def test_refused_inputs_exit_two(tmp_path, capsys, monkeypatch, args, needle):
     monkeypatch.setattr(thetalab.graph, "SEARCH_STEP_CAP", 10**4)
@@ -328,6 +333,10 @@ def test_refused_inputs_exit_two(tmp_path, capsys, monkeypatch, args, needle):
     for name, n in (("huge_n", 10**23), ("billion_n", 10**9), ("zero_n", 0)):
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps({"n": n, "edges": []}))
+    for name, text in (("deep_labels", '{"n": 1, "edges": [], "labels": ' + "[" * 50000 + "]" * 50000 + "}"),
+                       ("deep_open", "[" * 100000)):
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(text)
     code, out, err = run(capsys, [a.format(**files) for a in args])
     assert code == 2 and out == ""
     assert err.startswith("error:") and needle in err and "Traceback" not in err
@@ -480,6 +489,9 @@ def test_run_experiments_rejects_unknown():
 
     with pytest.raises(PreconditionViolated):
         run_experiments(["theta-sandwich", "nope"])
+    for name in EXPERIMENT_NAMES:  # refused before the runner starts: schnirelmann's rng raised an untyped ValueError
+        with pytest.raises(PreconditionViolated, match="experiment seed must be >= 0, got -1"):
+            run_experiment(name, seed=-1)
 
 
 def test_experiment_name_listing_is_complete():
@@ -529,6 +541,15 @@ def test_package_reads_no_environment():
     assert sources
     for path in sources:
         assert not re.search(r"os\.environ|getenv", path.read_text()), path.name
+
+
+def test_cli_leaves_value_ranges_to_the_library():
+    """cli.py orders no parsed option against a bound: each range rule is checked by the function that takes the value."""
+    ranges = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    found = [ast.unparse(node) for node in ast.walk(ast.parse((PACKAGE_DIR / "cli.py").read_text()))
+             if isinstance(node, ast.Compare) and any(isinstance(op, ranges) for op in node.ops)
+             and any(ast.unparse(side).startswith("args.") for side in (node.left, *node.comparators))]
+    assert found == []
 
 
 def test_package_uses_every_name_it_imports():

@@ -14,7 +14,7 @@ from thetalab.constructions import (
     polarity_graph,
     polarity_graph_with_loops,
 )
-from thetalab.errors import ComplexityRefused, OrderUnavailable
+from thetalab.errors import ComplexityRefused, OrderUnavailable, PreconditionViolated
 from thetalab.ffield import prime_factors, prime_power_split
 from thetalab.graph import (
     Graph,
@@ -259,7 +259,7 @@ def test_clique_union_pattern_free():
 
 
 def test_clique_union_rejects_bad_sizes():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated, match="clique union needs n >= 1 and t >= 1, got n = 0, t = 3"):
         clique_union(0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated, match="clique union needs n >= 1 and t >= 1, got n = 5, t = 0"):
         clique_union(5, 0)

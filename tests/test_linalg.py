@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from thetalab import linalg
-from thetalab.errors import ConvergenceFailure
+from thetalab.errors import ConvergenceFailure, PreconditionViolated
 from thetalab.graph import complete_graph, cycle_graph
 from thetalab.linalg import (
     _ql_implicit,
@@ -154,7 +154,7 @@ def test_values_only_spectrum():
     assert spec.eigenvectors is None and spec.residual is None
     assert np.array_equal(spec.eigenvalues, eigen_sym(sym_from_dense(a)).eigenvalues)
     for spectrum in (eigen_sym, eigvals_sym):
-        with pytest.raises(ValueError, match="need n >= 1"):
+        with pytest.raises(PreconditionViolated, match="spectrum needs n >= 1"):
             spectrum(sym_from_dense(np.zeros((0, 0))))
 
 

@@ -297,9 +297,9 @@ def test_msr_chain_on_the_empty_representation():
 
 def test_spectral_certificates_refuse_the_empty_representation():
     rep = OrthoRep(2, np.zeros((2, 0)), empty_graph(0))
-    with pytest.raises(PreconditionViolated, match="schnirelmann check needs n >= 1"):
+    with pytest.raises(PreconditionViolated, match="spectrum needs n >= 1"):
         schnirelmann_check(gram(rep))
-    with pytest.raises(PreconditionViolated, match="trace-power certificate needs n >= 1"):
+    with pytest.raises(PreconditionViolated, match="spectrum needs n >= 1"):
         trace_power_certificate(rep, rep.target, 1, "odd")
 
 

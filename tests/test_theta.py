@@ -33,7 +33,7 @@ from thetalab.graph import (
     induced_subgraph,
 )
 from thetalab.linalg import eigen_sym, sym_from_dense
-from thetalab.ortho import OrthoRep, random_rep, umbrella_rep
+from thetalab.ortho import OrthoRep, cycle_free_bound, random_rep, umbrella_rep
 from thetalab.theta import (
     BoundFormulaReport,
     L_bounds,
@@ -385,6 +385,21 @@ def test_bound_formula_above_the_solver_cap_uses_the_spectral_bound(monkeypatch)
     assert out.value_is_certified_upper is False
     assert out.theta_value == theta_spectral_lower_of_complement(g)
     assert out.ok and out.margin == out.formula_bound - out.theta_value
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_bound_formula_is_the_root_of_the_trace_power_bound(parity):
+    # the bound trace_power_certificate takes as lam_bound: ((6t)^{2t} n)^(1/(2t+1)) or ((12t)^{2t} n)^(1/(2t))
+    for t in range(1 if parity == "odd" else 2, 7):
+        power = 2 * t + 1 if parity == "odd" else 2 * t
+        for n in (5, 7, 13):
+            formula = bound_formula_check(empty_graph(n), parity, t).formula_bound
+            assert formula == cycle_free_bound(parity, t, n) ** (1 / power)
+            if parity == "even":  # the paper's form 12 t n^(1/(2t)), up to rounding
+                assert abs(formula - 12 * t * n ** (1 / (2 * t))) <= 1e-12 * formula
+    if parity == "even":  # (660)^110 * 5 is above the float64 limit, though 12 t n^(1/(2t)) is not
+        with pytest.raises(PreconditionViolated, match=r"^even-parity bound 660\^110\*5 for t = 55 exceeds the float64 limit"):
+            bound_formula_check(cycle_graph(5), "even", 55)
 
 
 def test_bound_formula_up_to_the_float64_limit():
