@@ -13,8 +13,9 @@ the subgroup (scaling classes), or one comparison of x·x' + y·y' with
 -z·z' (polarity).  Each block is allocated once, and each group of its
 columns is written in place through a reshaped view (out=), so no block is
 concatenated or copied.  graph.from_row_blocks packs the blocks into the
-graph's packed rows as they come.  Both check the vertex count against the
-graph vertex cap before building the field.
+graph's packed rows as they come.  Both check the order and then the vertex
+count against the graph vertex cap before building the field, and build the
+field from the split that the order check returned, so q is factored once.
 
 Disjoint unions of equal cliques need no field and no numpy, so they live
 in graph (graph.clique_union, graph.clique_union_parts).  This module still
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import FieldElement, element_of_order, field_from_order, field_tables, order_split, require_order, subgroup
+from .ffield import (FieldElement, element_of_order, field_create, field_from_order, field_tables, order_split,
+                     require_order, subgroup)
 from .graph import Graph, adjacency_rows, from_row_blocks, refuse_above_vertex_cap
 from .graph import clique_union, clique_union_parts  # bound here too: see the module docstring
 
@@ -96,7 +98,7 @@ def _relation_graph(n: int, block_mask, labels: tuple[str, ...]) -> tuple[Graph,
         for s in range(0, n, step):
             mask = block_mask(s, min(s + step, n))
             diag = mask.ravel()[s :: n + 1]
-            loops.extend((np.flatnonzero(diag) + s).tolist())
+            loops.extend((diag.nonzero()[0] + s).tolist())
             diag[:] = False
             yield mask
 
@@ -119,11 +121,11 @@ def furedi_graph(q: int, t: int) -> FurediGraph:
     m and every b.  classes lists them in lexicographic order, which is
     their order of first appearance when enumerating pairs.
     """
-    order_split(q)  # refuse a bad order, then an oversized graph, before the modulus search
+    p, alpha = order_split(q)  # refuse a bad order, then an oversized graph, before the modulus search
     require_order(q, t)
     n = (q * q - 1) // t
     refuse_above_vertex_cap(n)
-    tab = field_tables(field_from_order(q))
+    tab = field_tables(field_create(p, alpha))
     k = (q - 1) // t
     # H is every k-th power of the generator: the unique order-t subgroup
     in_sub = np.zeros(q, dtype=bool)
@@ -131,7 +133,8 @@ def furedi_graph(q: int, t: int) -> FurediGraph:
 
     # smallest index of each coset of H, ascending: coset r is column r of
     # the antilog period read as t rows of k
-    coset_min = np.sort(tab.antilog[: q - 1].reshape(t, k).min(axis=0))
+    coset_min = np.minimum.reduce(tab.antilog[: q - 1].reshape(t, k))
+    coset_min.sort()
 
     # The rows and columns are (0, m) for each coset minimum m, then (m, b')
     # for each m and every element b', so a block needs only its rows'
@@ -140,15 +143,17 @@ def furedi_graph(q: int, t: int) -> FurediGraph:
     sum_in_sub = tab.sum_test(in_sub)
     coded_antilog = tab.code[tab.antilog]
     log_min = tab.log[coset_min]
-    log_a = np.concatenate([np.full(k, tab.log[0]), np.repeat(log_min, q)])
-    log_b = np.concatenate([log_min, np.tile(tab.log, k)])
+    log_a, log_b = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    log_a[:k], log_b[:k] = tab.log[0], log_min  # rows (0, m)
+    log_a[k:].reshape(k, q)[:] = log_min[:, None]  # rows (m, b'): k groups of q
+    log_b[k:].reshape(k, q)[:] = tab.log
 
     def block_mask(s, e):
         la, lb = log_a[s:e, None], log_b[s:e, None]
         mask = np.empty((e - s, n), dtype=bool)
-        np.take(in_sub, tab.antilog[lb + log_min], out=mask[:, :k])  # columns (0, m): a·0 + b·m
-        am = coded_antilog[la + log_min]
-        bb = coded_antilog[lb + tab.log]
+        in_sub.take(tab.antilog.take(lb + log_min), out=mask[:, :k])  # columns (0, m): a·0 + b·m
+        am = coded_antilog.take(la + log_min)
+        bb = coded_antilog.take(lb + tab.log)
         sum_in_sub(am[:, :, None], bb[:, None, :], out=mask[:, k:].reshape(e - s, k, q))
         return mask
 
@@ -196,10 +201,10 @@ def polarity_graph_with_loops(q: int) -> tuple[Graph, tuple[int, ...]]:
     Self-orthogonal points would carry loops; they are removed from the
     simple graph and returned separately.
     """
-    order_split(q)  # refuse a bad order, then an oversized graph, before the modulus search
+    p, alpha = order_split(q)  # refuse a bad order, then an oversized graph, before the modulus search
     n = q * q + q + 1
     refuse_above_vertex_cap(n)
-    tab = field_tables(field_from_order(q))
+    tab = field_tables(field_create(p, alpha))
     span = np.arange(q)
     x = np.zeros(n, dtype=np.intp)
     y = np.zeros(n, dtype=np.intp)

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Every failure mode that callers are expected to catch has its own class;
-plain ValueError/TypeError are reserved for programming errors.
+Every failure mode that callers are expected to catch has its own class,
+and every refusal the package raises is one of them.  ValueError, KeyError
+and TypeError reach a caller only from numpy or json.
 """
 
 

@@ -12,7 +12,8 @@ log/antilog for multiplication, and a carry-free code with its fold table
 for addition, so both are one gather.  The graph constructions multiply and
 add whole index arrays through them.  order_split checks an order without
 building the field, so callers can refuse an oversized input before the
-modulus search.
+modulus search; a construction then builds its field with field_create from
+the split that order_split returned, so it factors q once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionByZero, NotPrime, OrderUnavailable, Overflow
+from .errors import DivisionByZero, IndexOutOfRange, NotPrime, OrderUnavailable, Overflow, PreconditionViolated
 
 ORDER_CAP = 2**31
 
@@ -140,7 +141,7 @@ class FieldSpec:
     def element(self, i: int) -> FieldElement:
         """i-th element in enumeration order: base-p digits of i, ascending."""
         if not 0 <= i < self.q:
-            raise ValueError(f"element index {i} outside [0, {self.q})")
+            raise IndexOutOfRange(f"element index {i} outside [0, {self.q})")
         digits = []
         for _ in range(self.alpha):
             digits.append(i % self.p)
@@ -217,14 +218,12 @@ def field_create(p: int, alpha: int = 1) -> FieldSpec:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if alpha < 1:
-        raise ValueError("alpha must be >= 1")
+        raise PreconditionViolated("alpha must be >= 1")
     if alpha == 1:
         return FieldSpec(p, 1, ())
-    for tail in itertools.product(range(1, p), *[range(p)] * (alpha - 1)):
-        m = [*tail, 1]
-        if _is_irreducible(m, p):
-            return FieldSpec(p, alpha, tuple(m))
-    raise RuntimeError("unreachable: an irreducible polynomial of every degree exists")
+    # an irreducible polynomial of every degree exists, so the search ends
+    candidates = ((*tail, 1) for tail in itertools.product(range(1, p), *[range(p)] * (alpha - 1)))
+    return FieldSpec(p, alpha, next(m for m in candidates if _is_irreducible(m, p)))
 
 
 def order_split(q: int) -> tuple[int, int]:
@@ -326,7 +325,7 @@ class FieldTables:
         hit = members[self.fold]  # per code sum: whether the element it folds to is a member
 
         def test(x, y, out=None) -> np.ndarray:
-            return np.take(hit, self._code_sum(x, y), out=out)
+            return hit.take(self._code_sum(x, y), out=out)
 
         return test
 

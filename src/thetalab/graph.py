@@ -152,10 +152,10 @@ def from_edges(n: int, edges, labels=None) -> Graph:
     """Build a simple graph; duplicate edges collapse, loops are rejected.
 
     n above GRAPH_N_CAP is refused with ComplexityRefused before anything
-    is allocated.  Labels, if given, must be n strings (ValueError).
+    is allocated.  Labels, if given, must be n strings (PreconditionViolated).
     """
     if n < 0:
-        raise ValueError("vertex count must be nonnegative")
+        raise PreconditionViolated("vertex count must be nonnegative")
     refuse_above_vertex_cap(n)
     adj = [0] * n
     for u, v in edges:
@@ -169,9 +169,9 @@ def from_edges(n: int, edges, labels=None) -> Graph:
         labels = tuple(labels)
         for label in labels:
             if not isinstance(label, str):
-                raise ValueError(f"label must be a string, got {label!r}")
+                raise PreconditionViolated(f"label must be a string, got {label!r}")
         if len(labels) != n:
-            raise ValueError("labels length must equal n")
+            raise PreconditionViolated("labels length must equal n")
     return Graph(n, tuple(adj), labels)
 
 
@@ -568,26 +568,26 @@ def graph_to_json(g: Graph) -> dict:
 def json_int(value, what: str) -> int:
     """value if it is a JSON integer; floats and booleans are refused, not truncated."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise PreconditionViolated(f"{what} must be an integer, got {value!r}")
     return value
 
 
 def json_number(value, what: str) -> float:
     """value as a float if it is a JSON number; strings and booleans are refused, not converted."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+        raise PreconditionViolated(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise ValueError(f"{what} is too large for a float") from None
+        raise PreconditionViolated(f"{what} is too large for a float") from None
 
 
 def graph_from_json(obj: dict) -> Graph:
     if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+        raise PreconditionViolated(f"expected a JSON object, got {type(obj).__name__}")
     edges = [(json_int(u, "edge endpoint"), json_int(v, "edge endpoint")) for u, v in obj.get("edges", [])]
     labels = obj.get("labels")
     if labels is not None and not isinstance(labels, list):
-        raise ValueError(f"labels must be a list, got {type(labels).__name__}")
+        raise PreconditionViolated(f"labels must be a list, got {type(labels).__name__}")
     return from_edges(json_int(obj["n"], "n"), edges, labels)
 

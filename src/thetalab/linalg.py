@@ -48,17 +48,17 @@ def sym_from_dense(a) -> SymMatrix:
     SYMMETRY_TOL*scale, or entries whose symmetrized value overflows, is an error."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
+        raise PreconditionViolated("expected a square matrix")
     if not np.all(np.isfinite(a)):
-        raise ValueError("entries must be finite")
+        raise PreconditionViolated("entries must be finite")
     n = a.shape[0]
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
     if n and float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL * scale:
-        raise ValueError("matrix is not symmetric")
+        raise PreconditionViolated("matrix is not symmetric")
     with np.errstate(over="ignore"):
         sym = (a + a.T) / 2.0
     if not np.all(np.isfinite(sym)):
-        raise ValueError("symmetrized entries overflow float64")
+        raise PreconditionViolated("symmetrized entries overflow float64")
     # off-diagonal zeros are stored as +0.0: printed Gram and certificate
     # matrices show the sign of zero, and bench/references.json fixes their bytes
     sym[(sym == 0.0) & ~np.eye(n, dtype=bool)] = 0.0
@@ -81,7 +81,7 @@ class Spectrum:
     def power_sum(self, k: int) -> float:
         """tr(M^k) = sum of lambda_i^k."""
         if not 1 <= k <= POWER_SUM_MAX:
-            raise ValueError(f"need 1 <= k <= {POWER_SUM_MAX}")
+            raise PreconditionViolated(f"need 1 <= k <= {POWER_SUM_MAX}")
         return float(np.sum(self.eigenvalues**k))
 
     def rank(self) -> int:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from thetalab import graph
+from thetalab import ffield, graph
 from thetalab.constructions import (
     clique_union,
     clique_union_parts,
@@ -108,6 +108,20 @@ def test_field_constructions_refuse_above_vertex_cap(monkeypatch):
     assert furedi_graph(5, 2).graph.n == 12
     with pytest.raises(ComplexityRefused, match="n = 13 vertices, above the vertex cap 12"):
         polarity_graph_with_loops(3)
+
+
+def test_each_construction_factors_its_order_once(monkeypatch):
+    """With the field caches warm, a construction factors q in its order check and builds its field
+    from that split, so it never factors q a second time."""
+    furedi_graph(9, 4), polarity_graph_with_loops(9)  # warm the field caches
+    calls = []
+    split = ffield.prime_power_split
+    monkeypatch.setattr(ffield, "prime_power_split", lambda q: calls.append(q) or split(q))
+    furedi_graph(9, 4)
+    assert calls == [9]
+    calls.clear()
+    polarity_graph_with_loops(9)
+    assert calls == [9]
 
 
 def _divisors(m: int):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from thetalab.errors import DivisionByZero, NotPrime, OrderUnavailable, Overflow
+from thetalab.errors import DivisionByZero, IndexOutOfRange, NotPrime, OrderUnavailable, Overflow, PreconditionViolated
 from thetalab.ffield import (
     FieldElement,
     element_of_order,
@@ -73,14 +73,14 @@ def test_prime_power_split():
 
 def test_field_create_refuses_degree_below_one():
     for alpha in (0, -1):
-        with pytest.raises(ValueError, match="alpha must be >= 1"):
+        with pytest.raises(PreconditionViolated, match="alpha must be >= 1"):
             field_create(5, alpha)
 
 
 def test_element_refuses_index_outside_the_field():
     f9 = field_from_order(9)
     for i in (-1, 9):
-        with pytest.raises(ValueError, match=f"element index {i} outside \\[0, 9\\)"):
+        with pytest.raises(IndexOutOfRange, match=f"element index {i} outside \\[0, 9\\)"):
             f9.element(i)
 
 

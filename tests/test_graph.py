@@ -65,11 +65,11 @@ def test_from_edges_rejects_loops_and_range():
         from_edges(2, [(0, 0)])
     with pytest.raises(IndexOutOfRange):
         from_edges(2, [(0, 2)])
-    with pytest.raises(ValueError, match="label must be a string, got None"):
+    with pytest.raises(PreconditionViolated, match="label must be a string, got None"):
         from_edges(2, [], [None, 1.5])
-    with pytest.raises(ValueError, match="label must be a string, got 1.5"):
+    with pytest.raises(PreconditionViolated, match="label must be a string, got 1.5"):
         from_edges(2, [], ["a", 1.5])
-    with pytest.raises(ValueError, match="labels length must equal n"):
+    with pytest.raises(PreconditionViolated, match="labels length must equal n"):
         from_edges(2, [], ["a"])
 
 

@@ -9,6 +9,7 @@ umbrella representation certifies the same value from both sides.
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,6 +108,16 @@ def test_theta_pentagon_bracket():
     assert rc.lower - 1e-9 <= SQRT5 <= rc.upper + 1e-9
     prod = ((r.lower + r.upper) / 2) * ((rc.lower + rc.upper) / 2)
     assert abs(prod - 5.0) <= 1e-4
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_c5_bracket_contains_sqrt5():
+    """The reported bracket of theta(C5) contains sqrt5, decided exactly: lo^2 <= 5 <= hi^2 in rationals,
+    each end read as the exact value of its float.  The lower end is the float sum of X's entries, about
+    1e-15 above sqrt5, until the bracket is rounded outwards."""
+    r = theta_sdp(cycle_graph(5), tol=1e-6)
+    lo, hi = Fraction(r.lower), Fraction(r.upper)
+    assert 0 <= lo and lo * lo <= 5 <= hi * hi
 
 
 def test_theta_petersen():
