@@ -55,7 +55,7 @@ def _load(path: str, parse, kind: str):
         raise PreconditionViolated(f"cannot read {path}: {exc}") from exc
     try:
         return parse(obj)
-    except (ThetalabError, KeyError, TypeError, ValueError) as exc:
+    except ThetalabError as exc:
         raise PreconditionViolated(f"{path} is not a {kind} file: {exc}") from exc
 
 

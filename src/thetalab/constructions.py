@@ -19,7 +19,7 @@ field from the split that the order check returned, so q is factored once.
 
 Disjoint unions of equal cliques need no field and no numpy, so they live
 in graph (graph.clique_union, graph.clique_union_parts).  This module still
-binds both names: code that wraps thetalab.constructions.clique_union from
+binds clique_union: code that wraps thetalab.constructions.clique_union from
 outside, such as bench/tracer.py, finds it here.
 """
 
@@ -33,7 +33,7 @@ import numpy as np
 from .ffield import (FieldElement, element_of_order, field_create, field_from_order, field_tables, order_split,
                      require_order, subgroup)
 from .graph import Graph, adjacency_rows, from_row_blocks, refuse_above_vertex_cap
-from .graph import clique_union, clique_union_parts  # bound here too: see the module docstring
+from .graph import clique_union  # bound here too: see the module docstring
 
 # entries per block of rows of a construction's adjacency mask: 256-512 KB
 # per int64 temporary, and every Füredi graph with n <= 256 in one block

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Every failure mode that callers are expected to catch has its own class,
-and every refusal the package raises is one of them.  ValueError, KeyError
-and TypeError reach a caller only from numpy or json.
+and every refusal the package raises is one of them, the JSON loaders'
+refusals of malformed files included.  ValueError reaches a caller only
+from numpy or json.
 """
 
 

@@ -582,12 +582,33 @@ def json_number(value, what: str) -> float:
         raise PreconditionViolated(f"{what} is too large for a float") from None
 
 
-def graph_from_json(obj: dict) -> Graph:
+def json_list(value, what: str) -> list:
+    """value if it is a JSON array."""
+    if not isinstance(value, list):
+        raise PreconditionViolated(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def json_key(obj, key: str):
+    """obj[key] if obj is a JSON object holding key."""
     if not isinstance(obj, dict):
         raise PreconditionViolated(f"expected a JSON object, got {type(obj).__name__}")
-    edges = [(json_int(u, "edge endpoint"), json_int(v, "edge endpoint")) for u, v in obj.get("edges", [])]
+    if key not in obj:
+        raise PreconditionViolated(f"missing key {key!r}")
+    return obj[key]
+
+
+def graph_from_json(obj: dict) -> Graph:
+    """The graph of a graph_to_json object; a malformed one is refused with a ThetalabError."""
+    if not isinstance(obj, dict):
+        raise PreconditionViolated(f"expected a JSON object, got {type(obj).__name__}")
+    edges = []
+    for edge in json_list(obj.get("edges", []), "edges"):
+        if not (isinstance(edge, list) and len(edge) == 2):
+            raise PreconditionViolated(f"edge must be a list of two endpoints, got {edge!r}")
+        edges.append((json_int(edge[0], "edge endpoint"), json_int(edge[1], "edge endpoint")))
     labels = obj.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise PreconditionViolated(f"labels must be a list, got {type(labels).__name__}")
-    return from_edges(json_int(obj["n"], "n"), edges, labels)
+    if labels is not None:
+        json_list(labels, "labels")
+    return from_edges(json_int(json_key(obj, "n"), "n"), edges, labels)
 

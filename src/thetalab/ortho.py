@@ -22,7 +22,7 @@ from .errors import (
     RepInvalid,
     UnsupportedPattern,
 )
-from .graph import Graph, adjacency_rows, clique_union, clique_union_parts, complement, contains_cycle, contains_pattern, cycle_graph, graph_from_json, graph_to_json, json_int, json_number, parse_pattern
+from .graph import Graph, adjacency_rows, clique_union, clique_union_parts, complement, contains_cycle, contains_pattern, cycle_graph, graph_from_json, graph_to_json, json_int, json_key, json_list, json_number, parse_pattern
 from .linalg import POWER_SUM_MAX, SymMatrix, eigvals_sym, sym_from_dense
 
 # slack of rep validation (unit norms, orthogonality) and of the msr chain
@@ -200,12 +200,22 @@ def rep_to_json(rep: OrthoRep) -> dict:
 
 
 def rep_from_json(obj: dict) -> OrthoRep:
-    g = graph_from_json(obj["graph"])
-    d = json_int(obj["d"], "d")
-    rows = [[json_number(x, "vector entry") for x in row] for row in obj["vectors"]]
-    # an empty row list is the 0 x d array that rep_to_json wrote for n = 0; ragged rows are refused
-    v = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, max(d, 0)))
-    return OrthoRep(d, v.T, g)
+    """The representation of a rep_to_json object; a malformed one is refused with a ThetalabError."""
+    g = graph_from_json(json_key(obj, "graph"))
+    d = json_int(json_key(obj, "d"), "d")
+    rows = [[json_number(x, "vector entry") for x in json_list(row, "vector")]
+            for row in json_list(json_key(obj, "vectors"), "vectors")]
+    lengths = {len(row) for row in rows}
+    if len(lengths) > 1:
+        raise PreconditionViolated(f"vectors must have one length, got lengths {sorted(lengths)}")
+    if rows:
+        return OrthoRep(d, np.asarray(rows, dtype=np.float64).T, g)
+    # no rows is the d x 0 array that rep_to_json wrote for n = 0
+    try:
+        v = np.zeros((max(d, 0), 0))
+    except ValueError:
+        raise PreconditionViolated("d is too large for an array") from None
+    return OrthoRep(d, v, g)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ import pytest
 import thetalab
 from thetalab.cli import main
 from thetalab.experiments import EXPERIMENT_NAMES, run_experiment, run_experiments
-from thetalab.graph import complete_graph, cycle_graph, empty_graph, from_edges, graph_from_json, graph_to_json
+from thetalab.graph import (clique_union_parts, complete_graph, cycle_graph, empty_graph, from_edges, graph_from_json,
+                            graph_to_json)
 from thetalab.ortho import OrthoRep, basis_rep_from_clique_cover, rep_to_json, umbrella_rep
-from thetalab.constructions import clique_union, clique_union_parts
+from thetalab.constructions import clique_union
 
 SQRT5 = 2.23606797749979
 
@@ -554,8 +555,8 @@ def test_cli_leaves_value_ranges_to_the_library():
 
 def test_package_uses_every_name_it_imports():
     """No module of the package or of its tests imports a name it never reads.  constructions binds
-    the clique unions it does not call, because bench/tracer.py wraps thetalab.constructions.clique_union there."""
-    exempt = {("constructions.py", "clique_union"), ("constructions.py", "clique_union_parts")}
+    clique_union, which it does not call, because bench/tracer.py wraps thetalab.constructions.clique_union there."""
+    exempt = {("constructions.py", "clique_union")}
     for path in [*sorted(PACKAGE_DIR.glob("*.py")), *sorted(Path(__file__).parent.glob("*.py"))]:
         tree = ast.parse(path.read_text())
         imported = {(alias.asname or alias.name).partition(".")[0]
@@ -568,9 +569,9 @@ def test_package_uses_every_name_it_imports():
 
 
 def test_package_raises_only_its_own_error_classes():
-    """Every raise in the package names a class of thetalab.errors, or is a bare re-raise.  ValueError,
-    KeyError and TypeError reach a caller only from numpy or json, for cli._load to convert.  The package's
-    module __getattr__ raises AttributeError, because the attribute protocol (hasattr, from-import) needs it."""
+    """Every raise in the package names a class of thetalab.errors, or is a bare re-raise.  ValueError
+    reaches a caller only from numpy or json, for cli._load to convert.  The package's module __getattr__
+    raises AttributeError, because the attribute protocol (hasattr, from-import) needs it."""
     own = {node.name for node in ast.parse((PACKAGE_DIR / "errors.py").read_text()).body
            if isinstance(node, ast.ClassDef)}
     exempt = {("__init__.py", "AttributeError")}
@@ -580,6 +581,20 @@ def test_package_raises_only_its_own_error_classes():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 name = ast.unparse(exc)
                 assert name in own or (path.name, name) in exempt, (path.name, node.lineno, name)
+
+
+def test_package_catches_no_key_or_type_error():
+    """No except clause in the package names KeyError or TypeError: a malformed value is refused by a check,
+    not caught after a lookup or an operation on it fails.  The one exemption is the dict lookup in the
+    package's module __getattr__, which turns a missing name into the AttributeError the protocol needs."""
+    exempt = {("__init__.py", "KeyError")}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                for name in map(ast.unparse, names):
+                    assert name not in ("KeyError", "TypeError") or (path.name, name) in exempt, (
+                        path.name, node.lineno, name)
 
 
 def test_package_reads_every_private_name_it_defines():

@@ -8,7 +8,6 @@ import pytest
 from thetalab import ffield, graph
 from thetalab.constructions import (
     clique_union,
-    clique_union_parts,
     furedi_graph,
     furedi_square_identity,
     polarity_graph,
@@ -19,6 +18,7 @@ from thetalab.ffield import prime_factors, prime_power_split
 from thetalab.graph import (
     Graph,
     bfs_layers,
+    clique_union_parts,
     contains_clique,
     contains_complete_bipartite,
     contains_cycle,

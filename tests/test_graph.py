@@ -505,3 +505,17 @@ def test_json_labels():
     obj = graph_to_json(g)
     assert obj["labels"] == ["a", "b"]
     assert graph_from_json(obj).labels == ("a", "b")
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({}, "missing key 'n'"),
+    ({"n": 3, "edges": 5}, "edges must be a list, got int"),
+    ({"n": 3, "edges": {}}, "edges must be a list, got dict"),
+    ({"n": 3, "edges": [[0, 1, 2]]}, "edge must be a list of two endpoints, got [0, 1, 2]"),
+    ({"n": 3, "edges": [5]}, "edge must be a list of two endpoints, got 5"),
+    (7, "expected a JSON object, got int"),
+])
+def test_graph_from_json_refuses_malformed_shapes(obj, message):
+    with pytest.raises(PreconditionViolated) as exc:
+        graph_from_json(obj)
+    assert str(exc.value) == message

@@ -15,7 +15,7 @@ import pytest
 
 from thetalab import linalg as linalg_mod
 from thetalab import ortho as ortho_mod
-from thetalab.constructions import clique_union, clique_union_parts, polarity_graph
+from thetalab.constructions import clique_union, polarity_graph
 from thetalab.errors import (
     DimensionMismatch,
     NotACliqueCover,
@@ -23,7 +23,7 @@ from thetalab.errors import (
     RepInvalid,
     UnsupportedPattern,
 )
-from thetalab.graph import Graph, complete_graph, contains_cycle, cycle_graph, empty_graph, from_edges
+from thetalab.graph import Graph, clique_union_parts, complete_graph, contains_cycle, cycle_graph, empty_graph, from_edges
 from thetalab.linalg import eigvals_sym, sym_from_dense
 from thetalab.theta import bound_formula_check, theta_lower_from_rep, theta_upper_from_rep
 from thetalab.ortho import (
@@ -457,8 +457,23 @@ def test_rep_json_roundtrip():
         back = rep_from_json(rep_to_json(empty))
         assert back.d == d and back.vectors.shape == (d, 0) and back.target == empty.target
         assert validate_rep(back, back.target).ok
-    with pytest.raises(ValueError):  # ragged rows are still refused
+    with pytest.raises(PreconditionViolated, match=r"vectors must have one length, got lengths \[1, 2\]"):
         rep_from_json({"d": 2, "vectors": [[1.0, 0.0], [1.0]], "graph": {"n": 2, "edges": []}})
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([], "expected a JSON object, got list"),
+    ({"graph": {"n": 1}}, "missing key 'd'"),
+    ({"graph": {"n": 1}, "d": 1}, "missing key 'vectors'"),
+    ({"graph": {"n": 1}, "d": 1, "vectors": 5}, "vectors must be a list, got int"),
+    ({"graph": {"n": 1}, "d": 1, "vectors": [5]}, "vector must be a list, got int"),
+    ({"graph": {"n": 2}, "d": 2, "vectors": [[1.0], [1.0, 2.0]]}, "vectors must have one length, got lengths [1, 2]"),
+    ({"graph": {"n": 0}, "d": 10**400, "vectors": []}, "d is too large for an array"),
+])
+def test_rep_from_json_refuses_malformed_shapes(obj, message):
+    with pytest.raises(PreconditionViolated) as exc:
+        rep_from_json(obj)
+    assert str(exc.value) == message
 
 
 def test_trace_power_matches_direct_power():

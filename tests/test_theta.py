@@ -148,22 +148,32 @@ def test_theta_result_rejects_bad_certificates():
     g = cycle_graph(4)
     r = theta_sdp(g, tol=1e-5)
     with pytest.raises(PreconditionViolated):
-        ThetaResult(r.lower, r.upper, r.gap, r.primal_x, r.dual_b, r.iterations, complete_graph(4))
-    with pytest.raises(PreconditionViolated):
-        ThetaResult(r.lower + 0.5, r.upper, r.upper - r.lower - 0.5, r.primal_x, r.dual_b, r.iterations, g)
+        ThetaResult(r.upper, r.primal_x, r.dual_b, r.iterations, complete_graph(4))
     doubled = sym_from_dense(2.0 * r.primal_x.dense())
     with pytest.raises(PreconditionViolated, match="primal certificate trace differs from 1"):
-        ThetaResult(2.0 * r.lower, r.upper, r.upper - 2.0 * r.lower, doubled, r.dual_b, r.iterations, g)
+        ThetaResult(r.upper, doubled, r.dual_b, r.iterations, g)
     # unit trace and zero on the edges of C4, but the non-edge pair (0, 2) makes it indefinite
     indefinite = np.eye(4) / 4.0
     indefinite[0, 2] = indefinite[2, 0] = 0.5
     with pytest.raises(PreconditionViolated, match="primal certificate eigenvalue -0.2"):
-        ThetaResult(2.0, r.upper, r.upper - 2.0, sym_from_dense(indefinite), r.dual_b, r.iterations, g)
+        ThetaResult(r.upper, sym_from_dense(indefinite), r.dual_b, r.iterations, g)
     with pytest.raises(PreconditionViolated, match="upper bound does not match dual certificate"):
-        ThetaResult(r.lower, r.upper + 0.5, r.gap + 0.5, r.primal_x, r.dual_b, r.iterations, g)
-    for gap in (r.gap + 0.1, -1e-6):
-        with pytest.raises(PreconditionViolated, match="gap field inconsistent with bounds"):
-            ThetaResult(r.lower, r.upper, gap, r.primal_x, r.dual_b, r.iterations, g)
+        ThetaResult(r.upper + 0.5, r.primal_x, r.dual_b, r.iterations, g)
+    # weak duality: every check above passes, but X's entry sum 1.00000002 is above lambda_max(I) = 1
+    x = sym_from_dense(np.array([[0.5, 1e-8], [1e-8, 0.5]]))
+    with pytest.raises(PreconditionViolated, match=r"lower bound 1\.00000002 above upper bound 1\.0"):
+        ThetaResult(1.0, x, sym_from_dense(np.eye(2)), 0, complete_graph(2))
+    with pytest.raises(TypeError):  # the ends a certificate fixes are not arguments
+        ThetaResult(r.upper, r.primal_x, r.dual_b, r.iterations, g, lower=r.lower)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(5), complement(polarity_graph(3)), complement(furedi_graph(5, 2).graph),
+                               *(complete_graph(n) for n in range(1, 11)), *(empty_graph(n) for n in range(1, 11))],
+                         ids=["c5", "p3c", "f52c", *(f"K{n}" for n in range(1, 11)), *(f"E{n}" for n in range(1, 11))])
+def test_lower_and_gap_are_read_off_the_primal_certificate(g):
+    r = theta_sdp(g, tol=1e-6)
+    assert r.lower == float(r.primal_x.dense().sum())
+    assert r.gap == r.upper - r.lower
 
 
 def test_gap_not_reached_carries_partial_result():
