@@ -143,7 +143,7 @@ def cmd_check_free(args) -> int:
 def cmd_rep(args) -> int:
     rep = _load(args.file, ortho.rep_from_json, "representation")
     if args.action == "validate":
-        out = ortho.validate_rep(rep, rep.target)
+        out = ortho.validate_rep(rep)
         if args.json:
             _emit({"valid": out.ok, "max_residual": out.max_residual,
                    "d": rep.d, "n": rep.n}, None)
@@ -169,14 +169,14 @@ def cmd_rep(args) -> int:
     elif args.check == "trace-power":
         if args.parity is None:
             raise PreconditionViolated("certify trace-power needs --parity")
-        out = ortho.trace_power_certificate(rep, rep.target, args.t, args.parity)
+        out = ortho.trace_power_certificate(rep, args.t, args.parity)
         body = {"check": "trace-power", "ok": out.ok, "parity": out.parity, "t": out.t,
                 "power": out.power, "trace": out.trace_value, "bound": out.bound,
                 "lambda_top": out.lam_top, "lambda_bound": out.lam_bound}
         lines = [f"tr(M^{out.power}): {_f(out.trace_value)}", f"bound: {_f(out.bound)}",
                  f"lambda_top: {_f(out.lam_top)}", f"lambda_bound: {_f(out.lam_bound)}"]
     else:
-        out = ortho.msr_lower_chain_check(rep, rep.target, args.t)
+        out = ortho.msr_lower_chain_check(rep, args.t)
         body = {"check": "msr-chain", "ok": out.ok, "d": out.dimension,
                 "trace_sq": out.trace_sq, "n": out.n, "t": out.t}
         lines = [f"d: {out.dimension}", f"tr(M^2): {_f(out.trace_sq)}",

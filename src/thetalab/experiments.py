@@ -93,8 +93,8 @@ def _cycle_free_graph(n: int, k: int, rng) -> graph.Graph:
     a k-cycle.  The graph before it has none, so for k = 3 the pair uv closes
     one iff u and v have a common neighbour, and for k = 4 iff some neighbour
     of u is adjacent to some neighbour of v (a path u-a-b-v).  The graph is
-    not searched again here: trace-power passes it to
-    trace_power_certificate, which refuses a graph with a k-cycle.
+    not searched again here: trace-power passes a rep of it to
+    trace_power_certificate, which refuses a target with a k-cycle.
     """
     if k not in (3, 4):
         raise PreconditionViolated(f"cycle-free generator supports k = 3 or 4, got {k}")
@@ -275,10 +275,10 @@ def _run_msr_cycle(seed: int):
     for n, t in grid:
         s = t - 1
         # the certificate searched clique_union(n, s) for C_t (it raises otherwise); the chain check validates rep
-        rep, g = ortho.msr_upper_certificate(n, s, f"C{t}")
+        rep = ortho.msr_upper_certificate(n, s, f"C{t}")[0]
         free_n += 1
         valid_n += rep.d == -(-n // s)
-        chain = ortho.msr_lower_chain_check(rep, g, s)  # its tr(M^2) is exact: Gram entries are 0.0 / 1.0
+        chain = ortho.msr_lower_chain_check(rep, s)  # its tr(M^2) is exact: Gram entries are 0.0 / 1.0
         if chain.trace_sq == n * s:
             eq_n += 1
         elif first_miss is None:
@@ -319,7 +319,7 @@ def _run_trace_power(seed: int):
         for i in range(samples):
             n = int(rng.integers(4, 17))
             g = _cycle_free_graph(n, k, rng)
-            out = ortho.trace_power_certificate(ortho.random_rep(g, seed=seed * stride + i), g, t, parity)
+            out = ortho.trace_power_certificate(ortho.random_rep(g, seed=seed * stride + i), t, parity)
             trace_pass += out.trace_ok
             lam_pass += out.lam_ok
         for claim, passed in ((trace_claim, trace_pass), (lam_claim, lam_pass)):

@@ -67,23 +67,21 @@ def gram(rep: OrthoRep) -> SymMatrix:
     return sym_from_dense(m)
 
 
-def _gram_residual(rep: OrthoRep, g: Graph) -> tuple[SymMatrix, float]:
-    """rep's Gram matrix and its largest deviation from I on the diagonal and the non-adjacent pairs of g."""
-    if rep.target.n != g.n:
-        raise DimensionMismatch(f"rep has {rep.target.n} vertices, graph has {g.n}")
+def _gram_residual(rep: OrthoRep) -> tuple[SymMatrix, float]:
+    """rep's Gram matrix and its largest deviation from I on the diagonal and the non-adjacent pairs of its target."""
     m = gram(rep)
-    return m, float(np.max(np.abs(m.dense() - np.eye(g.n))[adjacency_rows(g) == 0], initial=0.0))
+    return m, float(np.max(np.abs(m.dense() - np.eye(rep.n))[adjacency_rows(rep.target) == 0], initial=0.0))
 
 
-def validate_rep(rep: OrthoRep, g: Graph) -> RepValidation:
-    """Check unit norms and orthogonality on non-adjacent pairs."""
-    worst = _gram_residual(rep, g)[1]
+def validate_rep(rep: OrthoRep) -> RepValidation:
+    """Check unit norms and orthogonality on the non-adjacent pairs of rep's target."""
+    worst = _gram_residual(rep)[1]
     return RepValidation(worst <= REP_TOL, worst)
 
 
-def require_valid_rep(rep: OrthoRep, g: Graph) -> SymMatrix:
-    """The Gram matrix of rep; RepInvalid unless rep validates against g."""
-    m, worst = _gram_residual(rep, g)
+def require_valid_rep(rep: OrthoRep) -> SymMatrix:
+    """The Gram matrix of rep; RepInvalid unless rep validates against its target."""
+    m, worst = _gram_residual(rep)
     if worst > REP_TOL:
         raise RepInvalid(f"rep residual {worst} exceeds tolerance")
     return m
@@ -272,17 +270,17 @@ class MsrChainReport:
     t: int
 
 
-def msr_lower_chain_check(rep: OrthoRep, g: Graph, t: int) -> MsrChainReport:
+def msr_lower_chain_check(rep: OrthoRep, t: int) -> MsrChainReport:
     """The rank lower-bound chain: tr(M^2) <= n t and n^2 <= d tr(M^2).
 
-    Caller attests g is free of the relevant tree-plus-vertex pattern with
+    Caller attests rep's target is free of the relevant tree-plus-vertex pattern with
     tree size t; that is what caps each Gram row sum of squares at t.
     """
     if t < 1:
         raise PreconditionViolated(f"msr chain needs t >= 1, got {t}")
-    m = require_valid_rep(rep, g).dense()
+    m = require_valid_rep(rep).dense()
     t2 = float((m * m).sum())  # tr(M^2) with no decomposition: exact on the 0/1 Grams of clique unions
-    n = g.n
+    n = rep.n
     trace_link = t2 <= n * t or t2 <= n * t + REP_TOL * max(1.0, n * t)  # exact first: REP_TOL * n t may overflow
     chain = n * n <= rep.d * t2 * (1.0 + REP_TOL)
     return MsrChainReport(trace_link and chain, rep.d, t2, trace_link, chain, n, t)
@@ -333,18 +331,18 @@ def cycle_free_bound(parity: str, t: int, n: int) -> float:
     raise PreconditionViolated(f"{parity}-parity bound {shown} exceeds the float64 limit {sys.float_info.max!r}")
 
 
-def trace_power_certificate(rep: OrthoRep, g: Graph, t: int, parity: str) -> TracePowerReport:
+def trace_power_certificate(rep: OrthoRep, t: int, parity: str) -> TracePowerReport:
     """Trace-power bound for reps of cycle-free graphs.
 
-    odd parity: g must be C_{2t+1}-free, then tr(M^{2t+1}) <= (6t)^{2t} n.
-    even parity: g must be C_{2t}-free, then tr(M^{2t}) <= (12t)^{2t} n.
+    odd parity: rep's target must be C_{2t+1}-free, then tr(M^{2t+1}) <= (6t)^{2t} n.
+    even parity: rep's target must be C_{2t}-free, then tr(M^{2t}) <= (12t)^{2t} n.
     Both imply a top-eigenvalue bound of bound^(1/power).
     """
-    power = require_cycle_free(g, parity, t)
-    bound = cycle_free_bound(parity, t, g.n)
+    power = require_cycle_free(rep.target, parity, t)
+    bound = cycle_free_bound(parity, t, rep.n)
     if power > POWER_SUM_MAX:
         raise PreconditionViolated(f"trace power {power} for t = {t} is above the power-sum limit {POWER_SUM_MAX}")
-    spec = eigvals_sym(require_valid_rep(rep, g))
+    spec = eigvals_sym(require_valid_rep(rep))
     tv = spec.power_sum(power)
     trace_ok = tv <= bound + REP_TOL * max(1.0, bound)
     lam_top = float(spec.eigenvalues[0])

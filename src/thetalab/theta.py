@@ -27,6 +27,7 @@ import numpy as np
 from . import ortho
 from .errors import (
     ComplexityRefused,
+    DimensionMismatch,
     GapNotReached,
     HandleOrthogonalToVector,
     NoEdges,
@@ -195,10 +196,10 @@ def _handle_products(rep: ortho.OrthoRep, x) -> np.ndarray:
     """<x, f(v)> for every vertex v, once x is a unit handle and rep validates against its target."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (rep.d,):
-        raise PreconditionViolated(f"handle must have length {rep.d}")
+        raise DimensionMismatch(f"handle must have length {rep.d}")
     if not abs(float(np.linalg.norm(x)) - 1.0) <= 1e-8:  # NaN fails too
         raise PreconditionViolated("handle must be a unit vector")
-    ortho.require_valid_rep(rep, rep.target)
+    ortho.require_valid_rep(rep)
     return x @ rep.vectors
 
 

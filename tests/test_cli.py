@@ -472,9 +472,9 @@ def test_msr_cycle_reads_the_chain_certificate(monkeypatch):
         gram_callers.append(sys._getframe(1).f_globals["__name__"])
         return real_gram(rep)
 
-    def chain_spy(rep, g, t):
+    def chain_spy(rep, t):
         chains.append((rep.n, t + 1))
-        return real_chain(rep, g, t)
+        return real_chain(rep, t)
 
     monkeypatch.setattr(ortho, "gram", gram_spy)
     monkeypatch.setattr(ortho, "msr_lower_chain_check", chain_spy)
@@ -566,6 +566,17 @@ def test_package_uses_every_name_it_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = {name for name in imported - read if (path.name, name) not in exempt}
         assert not unused, (path.name, sorted(unused))
+
+
+def test_no_function_takes_a_graph_beside_a_representation():
+    """An OrthoRep carries its graph as target, so no function of the package takes a Graph as well."""
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                kinds = {ast.unparse(a.annotation).rpartition(".")[2]
+                         for a in (*args.posonlyargs, *args.args, *args.kwonlyargs) if a.annotation is not None}
+                assert not {"OrthoRep", "Graph"} <= kinds, (path.name, node.name)
 
 
 def test_package_raises_only_its_own_error_classes():

@@ -39,6 +39,7 @@ from thetalab.ortho import (
     rep_sum_length,
     rep_sum_length_aligned,
     rep_to_json,
+    require_valid_rep,
     schnirelmann_check,
     trace_power_certificate,
     umbrella_rep,
@@ -61,7 +62,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 def test_umbrella_validates_and_hits_axis_values():
     for of_complement in (False, True):
         rep = umbrella_rep(of_complement)
-        res = validate_rep(rep, rep.target)
+        res = validate_rep(rep)
         assert res.ok and res.max_residual <= 1e-10
         axis = np.array([0.0, 0.0, 1.0])
         sq = (axis @ rep.vectors) ** 2
@@ -86,23 +87,35 @@ def test_umbrella_sum_length():
 def test_validate_basis_and_constant_reps():
     n = 4
     basis = OrthoRep(n, np.eye(n), empty_graph(n))
-    res = validate_rep(basis, empty_graph(n))
+    res = validate_rep(basis)
     assert res.ok and res.max_residual == 0.0
 
     same = OrthoRep(2, np.tile(np.array([[1.0], [0.0]]), (1, n)), complete_graph(n))
-    assert validate_rep(same, complete_graph(n)).ok
+    assert validate_rep(same).ok
 
     bad = OrthoRep(2, np.tile(np.array([[1.0], [0.0]]), (1, 2)), empty_graph(2))
-    res = validate_rep(bad, empty_graph(2))
+    res = validate_rep(bad)
     assert not res.ok and abs(res.max_residual - 1.0) <= 1e-12
 
 
 def test_validate_dimension_mismatch():
-    rep = OrthoRep(3, np.eye(3), empty_graph(3))
-    with pytest.raises(DimensionMismatch):
-        validate_rep(rep, empty_graph(4))
     with pytest.raises(DimensionMismatch):
         OrthoRep(2, np.eye(3), empty_graph(3))
+
+
+def test_every_rep_check_reads_the_representation_s_own_graph():
+    # the complement umbrella's vectors are orthogonal on the non-edges of C5-bar, not on those of C5
+    own = umbrella_rep(True)
+    assert validate_rep(own).max_residual <= 1e-15
+    rep = OrthoRep(3, own.vectors, cycle_graph(5))
+    res = validate_rep(rep)
+    assert not res.ok and abs(res.max_residual - (5**0.5 - 1) / 2) <= 1e-12
+    x = np.array([0.0, 0.0, 1.0])
+    for check in (lambda: require_valid_rep(rep), lambda: msr_lower_chain_check(rep, 2),
+                  lambda: trace_power_certificate(rep, 1, "odd"), lambda: theta_upper_from_rep(rep, x),
+                  lambda: theta_lower_from_rep(rep, x)):
+        with pytest.raises(RepInvalid, match="rep residual 0.618033988749.* exceeds tolerance"):
+            check()
 
 
 def test_rep_refuses_non_finite_entries():
@@ -134,7 +147,7 @@ def test_gram_overflow_is_a_precondition_violation():
 def test_every_gram_reader_refuses_an_overflowing_gram(entry):
     g = from_edges(2, [(0, 1)])
     rep = OrthoRep(1, np.array([[entry, 1.0]]), g)
-    for read in (gram, lambda r: validate_rep(r, g), rep_sum_length, lambda r: msr_lower_chain_check(r, g, 1)):
+    for read in (gram, validate_rep, rep_sum_length, lambda r: msr_lower_chain_check(r, 1)):
         with pytest.raises(PreconditionViolated, match="Gram matrix overflows float64"):
             read(rep)
 
@@ -152,7 +165,7 @@ def test_basis_rep_examples():
     assert basis_rep_from_clique_cover(clique_union(9, 3), clique_union_parts(9, 3)).d == 3
     assert basis_rep_from_clique_cover(complete_graph(5), [range(5)]).d == 1
     rep = basis_rep_from_clique_cover(empty_graph(4), [[v] for v in range(4)])
-    assert rep.d == 4 and validate_rep(rep, empty_graph(4)).max_residual == 0.0
+    assert rep.d == 4 and validate_rep(rep).max_residual == 0.0
 
 
 def test_basis_rep_rejects_bad_covers():
@@ -178,7 +191,7 @@ def test_random_rep_validates_and_is_deterministic():
         for g in (cycle_graph(5), random_graph(10, 0.5, seed), empty_graph(6), complete_graph(6)):
             rep = random_rep(g, seed)
             assert rep.d == g.n
-            res = validate_rep(rep, g)
+            res = validate_rep(rep)
             assert res.ok and res.max_residual <= 1e-10
     a = random_rep(cycle_graph(5), 7).vectors
     b = random_rep(cycle_graph(5), 7).vectors
@@ -251,7 +264,7 @@ def test_msr_upper_certificate_cases(monkeypatch):
     assert [rep.d for rep, _ in certs] == [4, 4, 3]
     assert certs[0][1] == clique_union(10, 3) and not contains_cycle(certs[0][1], 4)
     for rep, g in certs:
-        assert validate_rep(rep, g).max_residual == 0.0
+        assert validate_rep(rep).max_residual == 0.0
     with pytest.raises(UnsupportedPattern):
         msr_upper_certificate(6, 2, "K2,3")
     with pytest.raises(PreconditionViolated):
@@ -261,12 +274,12 @@ def test_msr_upper_certificate_cases(monkeypatch):
 def test_msr_chain_on_block_reps():
     g = clique_union(9, 3)
     rep = basis_rep_from_clique_cover(g, clique_union_parts(9, 3))
-    out = msr_lower_chain_check(rep, g, 3)
+    out = msr_lower_chain_check(rep, 3)
     assert out.ok and out.trace_link_ok and out.chain_ok
     assert abs(out.trace_sq - 27.0) <= 1e-9
 
     basis = basis_rep_from_clique_cover(empty_graph(5), [[v] for v in range(5)])
-    out = msr_lower_chain_check(basis, empty_graph(5), 4)
+    out = msr_lower_chain_check(basis, 4)
     assert out.ok and abs(out.trace_sq - 5.0) <= 1e-9
 
 
@@ -277,7 +290,7 @@ def test_msr_chain_makes_no_eigendecomposition(monkeypatch):
     monkeypatch.setattr(ortho_mod, "eigvals_sym", refuse)
     monkeypatch.setattr(linalg_mod, "eigh_dense", refuse)
     g = clique_union(5, 2)
-    out = msr_lower_chain_check(basis_rep_from_clique_cover(g, clique_union_parts(5, 2)), g, 2)
+    out = msr_lower_chain_check(basis_rep_from_clique_cover(g, clique_union_parts(5, 2)), 2)
     # parts 2, 2, 1: tr(M^2) = 9 exactly, below n t = 10, and 25 <= 3 * 9
     assert out.ok and out.trace_sq == 9.0 and out.dimension == 3
 
@@ -286,12 +299,12 @@ def test_msr_chain_trace_is_the_spectral_power_sum():
     for seed in range(5):
         g = random_graph(9, 0.4, seed)
         rep = random_rep(g, seed)
-        out = msr_lower_chain_check(rep, g, 9)
+        out = msr_lower_chain_check(rep, 9)
         assert abs(out.trace_sq - eigvals_sym(gram(rep)).power_sum(2)) <= 1e-12 * out.trace_sq
 
 
 def test_msr_chain_on_the_empty_representation():
-    out = msr_lower_chain_check(OrthoRep(2, np.zeros((2, 0)), empty_graph(0)), empty_graph(0), 1)
+    out = msr_lower_chain_check(OrthoRep(2, np.zeros((2, 0)), empty_graph(0)), 1)
     assert out.ok and out.trace_sq == 0.0 and out.n == 0
 
 
@@ -300,20 +313,20 @@ def test_spectral_certificates_refuse_the_empty_representation():
     with pytest.raises(PreconditionViolated, match="spectrum needs n >= 1"):
         schnirelmann_check(gram(rep))
     with pytest.raises(PreconditionViolated, match="spectrum needs n >= 1"):
-        trace_power_certificate(rep, rep.target, 1, "odd")
+        trace_power_certificate(rep, 1, "odd")
 
 
 def test_certificates_take_a_t_beyond_the_float64_range():
     huge = 10**400
     g = clique_union(9, 3)
-    out = msr_lower_chain_check(basis_rep_from_clique_cover(g, clique_union_parts(9, 3)), g, huge)
+    out = msr_lower_chain_check(basis_rep_from_clique_cover(g, clique_union_parts(9, 3)), huge)
     assert out.ok and out.trace_link_ok and out.t == huge
     rep = umbrella_rep(False)
     for parity in ("odd", "even"):
         with pytest.raises(PreconditionViolated, match="exceeds the float64 limit"):
             cycle_free_bound(parity, huge, 5)
         with pytest.raises(PreconditionViolated, match="exceeds the float64 limit"):
-            trace_power_certificate(rep, rep.target, huge, parity)
+            trace_power_certificate(rep, huge, parity)
         with pytest.raises(PreconditionViolated, match=f"{parity}-parity bound .* exceeds the float64 limit"):
             bound_formula_check(cycle_graph(5), parity, huge)
 
@@ -324,7 +337,7 @@ def test_float64_limit_refusals_name_a_t_of_over_4300_digits_by_its_bit_length()
     rep = umbrella_rep(False)
     for parity in ("odd", "even"):
         for refuse in (lambda: cycle_free_bound(parity, huge, 5),
-                       lambda: trace_power_certificate(rep, rep.target, huge, parity),
+                       lambda: trace_power_certificate(rep, huge, parity),
                        lambda: bound_formula_check(cycle_graph(5), parity, huge)):
             with pytest.raises(PreconditionViolated, match="exceeds the float64 limit 1.7976931348623157e[+]308") as info:
                 refuse()
@@ -342,7 +355,7 @@ def test_msr_chain_rejects_tree_size_below_one():
     rep = basis_rep_from_clique_cover(g, clique_union_parts(9, 3))
     for t in (0, -1):
         with pytest.raises(PreconditionViolated, match="t >= 1"):
-            msr_lower_chain_check(rep, g, t)
+            msr_lower_chain_check(rep, t)
 
 
 def test_msr_chain_on_random_c4_free_graph():
@@ -353,7 +366,7 @@ def test_msr_chain_on_random_c4_free_graph():
             break
         seed += 1
     rep = random_rep(g, 123)
-    out = msr_lower_chain_check(rep, g, 3)
+    out = msr_lower_chain_check(rep, 3)
     assert out.trace_link_ok and out.trace_sq <= 30.0 + 1e-6
 
 
@@ -361,7 +374,7 @@ def test_msr_chain_rejects_invalid_rep():
     g = empty_graph(3)
     rep = OrthoRep(3, 2.0 * np.eye(3), g)
     x = np.array([1.0, 0.0, 0.0])
-    checks = (lambda: msr_lower_chain_check(rep, g, 2), lambda: trace_power_certificate(rep, g, 1, "odd"),
+    checks = (lambda: msr_lower_chain_check(rep, 2), lambda: trace_power_certificate(rep, 1, "odd"),
               lambda: theta_upper_from_rep(rep, x), lambda: theta_lower_from_rep(rep, x))
     for check in checks:
         with pytest.raises(RepInvalid, match="rep residual 3.0 exceeds tolerance"):
@@ -370,17 +383,17 @@ def test_msr_chain_rejects_invalid_rep():
 
 def test_trace_power_certificates():
     rep = umbrella_rep(False)
-    out = trace_power_certificate(rep, rep.target, 1, "odd")
+    out = trace_power_certificate(rep, 1, "odd")
     assert out.ok and out.power == 3 and out.bound == 180.0
     assert out.trace_value <= 180.0 and out.lam_top <= out.lam_bound + 1e-8
 
     g = polarity_graph(3)
     rep = random_rep(g, 9)
-    out = trace_power_certificate(rep, g, 2, "even")
+    out = trace_power_certificate(rep, 2, "even")
     assert out.ok and out.power == 4 and out.bound == float(24**4 * 13)
 
     basis = basis_rep_from_clique_cover(empty_graph(6), [[v] for v in range(6)])
-    out = trace_power_certificate(basis, empty_graph(6), 2, "odd")
+    out = trace_power_certificate(basis, 2, "odd")
     assert out.ok and abs(out.trace_value - 6.0) <= 1e-9
 
 
@@ -388,13 +401,13 @@ def test_trace_power_preconditions():
     tri = complete_graph(3)
     rep = random_rep(tri, 0)
     with pytest.raises(PreconditionViolated):
-        trace_power_certificate(rep, tri, 1, "odd")
+        trace_power_certificate(rep, 1, "odd")
     with pytest.raises(PreconditionViolated):
-        trace_power_certificate(rep, tri, 1, "even")
+        trace_power_certificate(rep, 1, "even")
     with pytest.raises(PreconditionViolated):
-        trace_power_certificate(rep, tri, 1, "sideways")
+        trace_power_certificate(rep, 1, "sideways")
     with pytest.raises(PreconditionViolated, match="odd parity needs t >= 1"):
-        trace_power_certificate(rep, tri, 0, "odd")
+        trace_power_certificate(rep, 0, "odd")
 
 
 def test_cycle_free_bound_is_exact_up_to_the_float64_limit():
@@ -410,11 +423,11 @@ def test_trace_power_refuses_t_beyond_its_limits():
     # refused before the bound's power is computed: 1200000000000^200000000000 has 8e12 bits
     for t, parity in ((200, "odd"), (10**11, "even")):
         with pytest.raises(PreconditionViolated, match="exceeds the float64 limit"):
-            trace_power_certificate(rep, rep.target, t, parity)
+            trace_power_certificate(rep, t, parity)
     # the bound fits, but tr(M^121) is above the power sums the spectrum takes
     with pytest.raises(PreconditionViolated, match="trace power 121 for t = 60 is above the power-sum limit 64"):
-        trace_power_certificate(rep, rep.target, 60, "odd")
-    out = trace_power_certificate(rep, rep.target, 31, "odd")
+        trace_power_certificate(rep, 60, "odd")
+    out = trace_power_certificate(rep, 31, "odd")
     assert out.ok and out.power == 63 and out.bound == float(186**62 * 5)
 
 
@@ -451,12 +464,12 @@ def test_rep_json_roundtrip():
     assert back.d == rep.d
     assert back.target == rep.target
     assert np.allclose(back.vectors, rep.vectors, atol=1e-15)
-    assert validate_rep(back, rep.target).ok
+    assert validate_rep(back).ok
     for d in (0, 1, 3):  # no vertices: written as "vectors": [], read back as d x 0
         empty = OrthoRep(d, np.zeros((d, 0)), empty_graph(0))
         back = rep_from_json(rep_to_json(empty))
         assert back.d == d and back.vectors.shape == (d, 0) and back.target == empty.target
-        assert validate_rep(back, back.target).ok
+        assert validate_rep(back).ok
     with pytest.raises(PreconditionViolated, match=r"vectors must have one length, got lengths \[1, 2\]"):
         rep_from_json({"d": 2, "vectors": [[1.0, 0.0], [1.0]], "graph": {"n": 2, "edges": []}})
 

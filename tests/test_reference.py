@@ -520,7 +520,7 @@ def _outcome(fn):
 @given(graphs_with_reps())
 def test_validate_rep_matches_loop(case):
     g, rep = case
-    assert validate_rep(rep, g) == validate_rep_loop(rep, g)
+    assert validate_rep(rep) == validate_rep_loop(rep, g)
 
 
 @SETTINGS
@@ -596,7 +596,7 @@ def cycle_free_cases(draw):
 @given(cycle_free_cases())
 def test_trace_power_matches_two_decompositions(case):
     g, rep, parity, t = case
-    out = trace_power_certificate(rep, g, t, parity)
+    out = trace_power_certificate(rep, t, parity)
     m = gram(rep)
     assert out.trace_value == trace_power_twice(m, out.power)
     assert out.lam_top == float(eigen_sym(m).eigenvalues[0])

@@ -19,6 +19,7 @@ from thetalab import theta as theta_mod
 from thetalab.constructions import clique_union, furedi_graph, polarity_graph
 from thetalab.errors import (
     ComplexityRefused,
+    DimensionMismatch,
     GapNotReached,
     HandleOrthogonalToVector,
     NoEdges,
@@ -317,13 +318,20 @@ def test_handle_preconditions():
     rep = umbrella_rep(False)
     with pytest.raises(PreconditionViolated):
         theta_upper_from_rep(rep, np.array([0.0, 0.0, 2.0]))
-    with pytest.raises(PreconditionViolated):
-        theta_lower_from_rep(rep, np.array([1.0, 0.0]))
     for bad in (math.nan, math.inf, -math.inf):
         for bound in (theta_upper_from_rep, theta_lower_from_rep):
             for handle in ([bad, 0.0, 0.0], [0.0, 0.0, bad], [1.0, bad, 0.0]):
                 with pytest.raises(PreconditionViolated, match="unit vector"):
                     bound(rep, handle)
+
+
+def test_handle_of_the_wrong_length_is_a_dimension_mismatch():
+    # the class and message of ortho.rep_sum_length_aligned's refusal of the same handle
+    rep = umbrella_rep(False)
+    for bound in (theta_upper_from_rep, theta_lower_from_rep):
+        for handle in ([1.0, 0.0], [1.0, 0.0, 0.0, 0.0]):
+            with pytest.raises(DimensionMismatch, match="^handle must have length 3$"):
+                bound(rep, np.array(handle))
 
 
 def test_sandwich_validity_on_random_graphs():
